@@ -401,3 +401,48 @@ func BenchmarkCoverageIgnoring(b *testing.B) {
 // internal/matrix (BenchmarkPairCountsBuild there forces each strategy
 // explicitly, bypassing the sync.Once memoization); the numbers are
 // recorded in EXPERIMENTS.md.
+
+// BenchmarkShardedSigmaWide is the read-path ledger row for the sharded
+// engine's merged read cut, on the sigma-wide benchmark's corpus shape
+// (2 shards × 2 000 columns): σCov and σDep at a steady epoch — every
+// read after the first reuses the epoch's cut — and the first read
+// after a one-subject write, which rebuilds it (the write itself is
+// not timed).
+func BenchmarkShardedSigmaWide(b *testing.B) {
+	s := incr.NewSharded(2, incr.Options{})
+	s.Apply(datagen.WideSchemaGraph(datagen.WideAtScale(0.1, 1)).Triples(), nil)
+	var churn []rdf.Triple
+	for i := 0; i < 3; i++ {
+		churn = append(churn, rdf.Triple{Subject: "http://bench/churn", Predicate: datagen.WideProp(i), Object: rdf.NewURI("http://bench/o")})
+	}
+	cov := rules.CovFunc().(rules.CountsFunc)
+	dep := rules.DepFunc(datagen.WideProp(0), datagen.WideProp(1)).(rules.PairCountsFunc)
+	reads := []struct {
+		name string
+		read func()
+	}{
+		{"cov", func() { _ = s.Sigma(cov) }},
+		{"dep", func() { _, _ = s.SigmaPairs(dep) }},
+	}
+	for _, r := range reads {
+		b.Run("steady/"+r.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				r.read()
+			}
+		})
+	}
+	for _, r := range reads {
+		b.Run("after-write/"+r.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				if i%2 == 0 {
+					s.Apply(churn, nil)
+				} else {
+					s.Apply(nil, churn)
+				}
+				b.StartTimer()
+				r.read()
+			}
+		})
+	}
+}

@@ -3,6 +3,7 @@ package incr
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/rules"
@@ -83,22 +84,19 @@ func (s *Sharded) ExportAggregates() *AggregateExport {
 	}
 	s.rlockAll()
 	defer s.runlockAll()
-	merged, names, nameIdx := s.mergedCountsLocked()
-	ex := &AggregateExport{Names: names, Tracker: merged}
-	for _, d := range s.shards {
-		ex.Epoch += d.epoch
-	}
-	tracked := true
-	for _, d := range s.shards {
-		if d.pairs == nil {
-			tracked = false
-			break
-		}
-	}
-	if tracked {
-		ex.Pairs = rules.NewPairTracker(len(names))
-		for _, d := range s.shards {
-			ex.Pairs.Merge(d.pairs, s.colMapLocked(d, nameIdx))
+	return s.exportLocked(s.countsLocked(s.cutLocked()))
+}
+
+// exportLocked assembles the export from c's counts part plus a pair
+// matrix merged from the shards' live trackers. The export is the
+// caller's to mutate, so it gets copies of the cut's shared names and
+// tracker. Caller holds all shard read locks at c.epoch.
+func (s *Sharded) exportLocked(c *readCut) *AggregateExport {
+	ex := &AggregateExport{Epoch: c.epoch, Names: slices.Clone(c.names), Tracker: c.tracker.Clone()}
+	if !s.opts.DisablePairCounts {
+		ex.Pairs = rules.NewPairTracker(len(c.names))
+		for i, d := range s.shards {
+			ex.Pairs.Merge(d.pairs, c.toMerged[i])
 		}
 	}
 	return ex

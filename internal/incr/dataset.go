@@ -25,7 +25,9 @@ package incr
 
 import (
 	"context"
+	"encoding/binary"
 	"io"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -85,7 +87,8 @@ type Dataset struct {
 	// Append-only column space. Columns whose subject count drops to
 	// zero are retired in place (snapshots skip them) and revived if the
 	// property reappears.
-	props     []string // column names, materialized once at creation
+	props     []string  // column names, materialized once at creation
+	propIDs   []term.ID // column dictionary IDs, parallel to props
 	propIndex map[term.ID]int
 
 	tracker *rules.CountTracker
@@ -99,6 +102,7 @@ type Dataset struct {
 
 	epoch   uint64
 	snap    atomic.Pointer[Snapshot]
+	sigKeys atomic.Pointer[sigKeySet]
 	added   uint64
 	removed uint64
 
@@ -407,6 +411,7 @@ func (d *Dataset) colFor(p term.ID) int {
 	}
 	i := len(d.props)
 	d.props = append(d.props, d.g.Dict().String(p))
+	d.propIDs = append(d.propIDs, p)
 	d.propIndex[p] = i
 	d.tracker.Grow(len(d.props))
 	if d.pairs != nil {
@@ -593,6 +598,23 @@ func (d *Dataset) SigmaPairs(fn rules.PairCountsFunc) (rules.Ratio, bool) {
 	return fn.EvalPairCounts(d.tracker.Counts(), livePairCounts{d}, d.tracker.Subjects()), true
 }
 
+// SigmaStats evaluates fn and reads Stats under one read lock (see
+// Engine).
+func (d *Dataset) SigmaStats(fn rules.Func) (ratio rules.Ratio, st Stats, live bool) {
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	st = d.statsLocked()
+	switch f := fn.(type) {
+	case rules.CountsFunc:
+		return d.tracker.Eval(f), st, true
+	case rules.PairCountsFunc:
+		if d.pairs != nil {
+			return f.EvalPairCounts(d.tracker.Counts(), livePairCounts{d}, d.tracker.Subjects()), st, true
+		}
+	}
+	return rules.Ratio{}, st, false
+}
+
 // PairsTracked reports whether the live pair-count tracker is on.
 func (d *Dataset) PairsTracked() bool {
 	d.mu.RLock()
@@ -643,6 +665,48 @@ func (d *Dataset) statsLocked() Stats {
 		Added:      d.added,
 		Removed:    d.removed,
 	}
+}
+
+// activeLocked reports whether property id has a live (non-retired)
+// column. Caller holds at least an RLock.
+func (d *Dataset) activeLocked(id term.ID) bool {
+	c, ok := d.propIndex[id]
+	return ok && d.tracker.Counts()[c] > 0
+}
+
+// sigKeySet is a shard's signature identities at one shard epoch, in
+// dictionary terms: each key is the signature's property IDs, sorted
+// and packed four bytes apiece. Column indices are shard-local, but
+// the shards of a Sharded engine share one dictionary, so equal keys on
+// two shards are the same merged signature.
+type sigKeySet struct {
+	epoch uint64
+	keys  map[string]struct{}
+}
+
+// sigKeysLocked returns the signature identities of the current epoch,
+// cached per epoch like the snapshot. Caller holds at least an RLock.
+func (d *Dataset) sigKeysLocked() map[string]struct{} {
+	if m := d.sigKeys.Load(); m != nil && m.epoch == d.epoch {
+		return m.keys
+	}
+	keys := make(map[string]struct{}, len(d.sigs))
+	var ids []term.ID
+	var key []byte
+	for _, st := range d.sigs {
+		ids = ids[:0]
+		for _, c := range st.cols {
+			ids = append(ids, d.propIDs[c])
+		}
+		slices.Sort(ids)
+		key = key[:0]
+		for _, id := range ids {
+			key = binary.LittleEndian.AppendUint32(key, uint32(id))
+		}
+		keys[string(key)] = struct{}{}
+	}
+	d.sigKeys.Store(&sigKeySet{epoch: d.epoch, keys: keys})
+	return keys
 }
 
 // ViewStorage breaks down the signature-storage footprint of the

@@ -3,6 +3,7 @@ package incr
 import (
 	"bytes"
 	"fmt"
+	"slices"
 
 	"repro/internal/matrix"
 	"repro/internal/rdf"
@@ -99,17 +100,13 @@ type CheckpointState struct {
 func (d *Dataset) ExportCheckpoint() *CheckpointState {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	propIDs := make([]term.ID, len(d.props))
-	for id, i := range d.propIndex {
-		propIDs[i] = id
-	}
 	triples := make([]rdf.IDTriple, 0, d.g.Len())
 	d.g.EachTripleID(func(it rdf.IDTriple) { triples = append(triples, it) })
 	st := &CheckpointState{
 		Epoch:   d.epoch,
 		Added:   d.added,
 		Removed: d.removed,
-		PropIDs: propIDs,
+		PropIDs: slices.Clone(d.propIDs),
 		Triples: triples,
 		Tracker: d.tracker.Clone(),
 		View:    d.snapshotLocked().View,
@@ -151,6 +148,7 @@ func (d *Dataset) RestoreCheckpoint(st *CheckpointState) error {
 			return fmt.Errorf("incr: restore: duplicate property column ID %d", id)
 		}
 		d.props = append(d.props, dict.String(id))
+		d.propIDs = append(d.propIDs, id)
 		d.propIndex[id] = i
 	}
 	d.tracker.Grow(len(d.props))

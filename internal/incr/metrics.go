@@ -65,6 +65,30 @@ func (m *engineMetrics) shard(i int) *shardMetrics {
 	}
 }
 
+// cutMetrics counts reads through the sharded engine's merged read cut
+// by whether the part they needed had to be built (the first such read
+// of an epoch) or was reused — on a live server, whether σ misses are
+// amortized across an epoch.
+type cutMetrics struct{ build, reuse *metrics.Counter }
+
+func newCutMetrics(reg *metrics.Registry) *cutMetrics {
+	v := reg.CounterVec("rdf_engine_read_cut_total",
+		"Merged cross-shard reads (sigma, stats, aggregate export), by whether the epoch's read cut was built or reused.", "outcome")
+	return &cutMetrics{build: v.With("build"), reuse: v.With("reuse")}
+}
+
+// observe records one read; a nil tap (no registry) records nothing.
+func (m *cutMetrics) observe(built bool) {
+	if m == nil {
+		return
+	}
+	if built {
+		m.build.Inc()
+	} else {
+		m.reuse.Inc()
+	}
+}
+
 // setMetrics installs the shard's instrumentation tap. Like
 // SetBatchHook it takes the write lock, so installation never races a
 // batch mid-flight.
@@ -126,6 +150,7 @@ func (s *Sharded) RegisterMetrics(reg *metrics.Registry) {
 	for i, d := range s.shards {
 		d.setMetrics(m.shard(i))
 	}
+	s.met.Store(newCutMetrics(reg))
 	registerTerms(reg, s.dict)
 	registerViewStorage(reg, s)
 }

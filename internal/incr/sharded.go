@@ -3,8 +3,6 @@ package incr
 import (
 	"context"
 	"io"
-	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -40,6 +38,13 @@ type Engine interface {
 	SigmaPairs(fn rules.PairCountsFunc) (rules.Ratio, bool)
 	PairsTracked() bool
 	Stats() Stats
+	// SigmaStats evaluates fn against the live aggregates and returns it
+	// with the statistics of the same epoch — one read cut, so the two
+	// can never straddle a write. live is false when fn has no live
+	// evaluation (neither a counts nor a pair-counts measure, or pair
+	// tracking is disabled); st is valid either way and the caller
+	// evaluates fn against a Snapshot instead.
+	SigmaStats(fn rules.Func) (ratio rules.Ratio, st Stats, live bool)
 	// ViewStorage reports the signature-storage breakdown of the
 	// engine's current snapshot (dense vs compressed container counts,
 	// estimated bytes) plus the live pair-tracker footprint — the
@@ -84,6 +89,11 @@ type Sharded struct {
 	// sum of per-shard epochs — strictly increasing per mutating batch,
 	// since shard epochs never decrease).
 	snap atomic.Pointer[Snapshot]
+	// cut caches the merged read cut the same way, for the reads that
+	// need no snapshot (σ, stats, aggregate export).
+	cut atomic.Pointer[readCut]
+	// met counts cut builds and reuses (nil until RegisterMetrics).
+	met atomic.Pointer[cutMetrics]
 }
 
 // NewSharded returns an empty sharded dataset with n subject-hash
@@ -373,62 +383,18 @@ func (s *Sharded) Snapshot() *Snapshot {
 	}
 }
 
-// mergedCountsLocked builds the union-column count aggregate: the
-// sorted union of the shards' active property names and a CountTracker
-// holding the summed N_p, |S| and 1-entry totals
-// (rules.CountTracker.Merge per shard). Caller holds all shard locks.
-func (s *Sharded) mergedCountsLocked() (*rules.CountTracker, []string, map[string]int) {
-	nameSet := map[string]struct{}{}
-	for _, d := range s.shards {
-		counts := d.tracker.Counts()
-		for i, p := range d.props {
-			if counts[i] > 0 {
-				nameSet[p] = struct{}{}
-			}
-		}
-	}
-	names := make([]string, 0, len(nameSet))
-	for n := range nameSet {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	nameIdx := make(map[string]int, len(names))
-	for i, n := range names {
-		nameIdx[n] = i
-	}
-	merged := rules.NewCountTracker(len(names))
-	for _, d := range s.shards {
-		merged.Merge(d.tracker, s.colMapLocked(d, nameIdx))
-	}
-	return merged, names, nameIdx
-}
-
-// colMapLocked maps d's columns into the merged column space (-1 for
-// retired columns, which carry no counts).
-func (s *Sharded) colMapLocked(d *Dataset, nameIdx map[string]int) []int {
-	counts := d.tracker.Counts()
-	colMap := make([]int, len(d.props))
-	for i, p := range d.props {
-		if counts[i] > 0 {
-			colMap[i] = nameIdx[p]
-		} else {
-			colMap[i] = -1
-		}
-	}
-	return colMap
-}
-
 // Sigma evaluates a counts-based measure (σCov, σSim) against the
-// merged live counts — O(shards·|P|) to union the column space, no
-// snapshot build.
+// merged counts of the current epoch's read cut: O(|P|) per read, after
+// one O(shards·|P|) union of the column space per epoch. No snapshot
+// build.
 func (s *Sharded) Sigma(fn rules.CountsFunc) rules.Ratio {
 	if len(s.shards) == 1 {
 		return s.shards[0].Sigma(fn)
 	}
 	s.rlockAll()
-	defer s.runlockAll()
-	merged, _, _ := s.mergedCountsLocked()
-	return merged.Eval(fn)
+	c := s.countsLocked(s.cutLocked())
+	s.runlockAll()
+	return c.tracker.Eval(fn)
 }
 
 // SigmaCov returns σCov of the merged live dataset.
@@ -438,27 +404,29 @@ func (s *Sharded) SigmaCov() rules.Ratio { return s.Sigma(rules.CovFunc().(rules
 func (s *Sharded) SigmaSim() rules.Ratio { return s.Sigma(rules.SimFunc().(rules.CountsFunc)) }
 
 // shardedPairs answers pair-count reads by summing the demanded entry
-// across the shards' live PairTrackers — O(shards) per Both, so a
-// fixed-demand measure (σDep/σSymDep/σDepDisj, pinned compiled rules)
-// reads in O(shards) total without materializing the merged |P|²
-// matrix. Valid only under all shard locks.
+// across the shards' live PairTrackers through the cut's column maps —
+// O(shards) per Both, so a fixed-demand measure (σDep/σSymDep/σDepDisj,
+// pinned compiled rules) reads in O(shards) total without materializing
+// the merged |P|² matrix. Valid only under all shard locks at the
+// cut's epoch.
 type shardedPairs struct {
-	s       *Sharded
-	nameIdx map[string]int
-	// cols[i][mergedCol] is shard i's column for mergedCol, or -1 when
-	// the property is absent (or retired) there.
-	cols [][]int
+	s *Sharded
+	c *readCut
 }
 
-func (m *shardedPairs) Column(p string) (int, bool) {
-	i, ok := m.nameIdx[p]
+func (m shardedPairs) Column(p string) (int, bool) {
+	id, ok := m.s.dict.Lookup(p)
+	if !ok {
+		return 0, false
+	}
+	i, ok := m.c.col[id]
 	return i, ok
 }
 
-func (m *shardedPairs) Both(i, j int) int64 {
+func (m shardedPairs) Both(i, j int) int64 {
 	var tot int64
 	for si, d := range m.s.shards {
-		ci, cj := m.cols[si][i], m.cols[si][j]
+		ci, cj := m.c.toLocal[si][i], m.c.toLocal[si][j]
 		if ci >= 0 && cj >= 0 {
 			tot += d.pairs.Both(ci, cj)
 		}
@@ -480,102 +448,72 @@ func (m trackerPairs) Column(p string) (int, bool) {
 
 func (m trackerPairs) Both(i, j int) int64 { return m.t.Both(i, j) }
 
-// SigmaPairs evaluates a pair-counts measure against the merged live
-// aggregates, no snapshot build. Measures declaring fixed pair demands
+// sigmaPairsLocked evaluates fn against c's counts and the shards' live
+// pair trackers. Measures declaring fixed pair demands
 // (rules.PairDemands — the dependency measures and pinned compiled
 // rules) read each demanded entry as an O(shards) sum; a measure that
 // may read arbitrary pairs gets a merged PairTracker materialized via
 // rules.PairTracker.Merge (O(shards·|P|²), amortized by the read
 // pattern that forced it). Returns ok = false when pair tracking is
-// disabled (Options.DisablePairCounts); callers then evaluate against
-// a Snapshot instead.
+// disabled. Caller holds all shard read locks at c.epoch — the live
+// trackers are only this epoch's while the locks are held.
+func (s *Sharded) sigmaPairsLocked(c *readCut, fn rules.PairCountsFunc) (rules.Ratio, bool) {
+	if s.opts.DisablePairCounts {
+		return rules.Ratio{}, false
+	}
+	s.countsLocked(c)
+	if pd, ok := fn.(rules.PairDemands); ok && pd.NeededPairs() != nil {
+		return fn.EvalPairCounts(c.tracker.Counts(), shardedPairs{s, c}, c.tracker.Subjects()), true
+	}
+	return s.exportLocked(c).SigmaPairs(fn)
+}
+
+// SigmaPairs evaluates a pair-counts measure against the merged live
+// aggregates of the current epoch, no snapshot build (see
+// sigmaPairsLocked for the cost). Returns ok = false when pair tracking
+// is disabled (Options.DisablePairCounts); callers then evaluate
+// against a Snapshot instead.
 func (s *Sharded) SigmaPairs(fn rules.PairCountsFunc) (rules.Ratio, bool) {
 	if len(s.shards) == 1 {
 		return s.shards[0].SigmaPairs(fn)
 	}
 	s.rlockAll()
 	defer s.runlockAll()
-	for _, d := range s.shards {
-		if d.pairs == nil {
-			return rules.Ratio{}, false
-		}
+	return s.sigmaPairsLocked(s.cutLocked(), fn)
+}
+
+// SigmaStats evaluates fn and reads the merged statistics under one
+// read cut (see Engine).
+func (s *Sharded) SigmaStats(fn rules.Func) (ratio rules.Ratio, st Stats, live bool) {
+	if len(s.shards) == 1 {
+		return s.shards[0].SigmaStats(fn)
 	}
-	merged, names, nameIdx := s.mergedCountsLocked()
-	if pd, ok := fn.(rules.PairDemands); ok && pd.NeededPairs() != nil {
-		mp := &shardedPairs{s: s, nameIdx: nameIdx, cols: make([][]int, len(s.shards))}
-		for i, d := range s.shards {
-			shardCols := make([]int, len(names))
-			for j := range shardCols {
-				shardCols[j] = -1
-			}
-			for ci, p := range d.props {
-				if mi, ok := nameIdx[p]; ok {
-					shardCols[mi] = ci
-				}
-			}
-			mp.cols[i] = shardCols
-		}
-		return fn.EvalPairCounts(merged.Counts(), mp, merged.Subjects()), true
+	s.rlockAll()
+	defer s.runlockAll()
+	c := s.cutLocked()
+	st = s.statsLocked(c)
+	switch f := fn.(type) {
+	case rules.CountsFunc:
+		return s.countsLocked(c).tracker.Eval(f), st, true
+	case rules.PairCountsFunc:
+		ratio, live = s.sigmaPairsLocked(c, f)
 	}
-	pt := rules.NewPairTracker(len(names))
-	for _, d := range s.shards {
-		pt.Merge(d.pairs, s.colMapLocked(d, nameIdx))
-	}
-	return fn.EvalPairCounts(merged.Counts(), trackerPairs{t: pt, nameIdx: nameIdx}, merged.Subjects()), true
+	return ratio, st, live
 }
 
 // PairsTracked reports whether the live pair-count tracker is on (the
 // shards share Options, so it is uniform across them).
 func (s *Sharded) PairsTracked() bool { return s.shards[0].PairsTracked() }
 
-// Stats returns merged statistics under an all-shard read cut:
-// triples, subjects, added and removed sum (subject-disjointness makes
-// the subject sum exact), properties count the union of active
-// columns, signatures count the distinct merged property-name sets,
-// and the epoch is the composite epoch.
+// Stats returns the merged statistics of the current epoch's read cut
+// (see statsLocked): computed once per epoch, then a copy per read.
 func (s *Sharded) Stats() Stats {
 	if len(s.shards) == 1 {
 		return s.shards[0].Stats()
 	}
 	s.rlockAll()
 	defer s.runlockAll()
-	return s.mergedStatsLocked()
-}
-
-// mergedStatsLocked computes the merged Stats. Caller holds all shard
-// locks.
-func (s *Sharded) mergedStatsLocked() Stats {
-	var st Stats
-	props := map[string]struct{}{}
-	sigKeys := map[string]struct{}{}
-	var names []string
-	for _, d := range s.shards {
-		st.Epoch += d.epoch
-		st.Triples += d.g.Len()
-		st.Subjects += d.g.SubjectCount()
-		st.Added += d.added
-		st.Removed += d.removed
-		counts := d.tracker.Counts()
-		for i, p := range d.props {
-			if counts[i] > 0 {
-				props[p] = struct{}{}
-			}
-		}
-		// Signature identity across shards is the set of property names
-		// (column indices are shard-local).
-		for _, sig := range d.sigs {
-			names = names[:0]
-			for _, c := range sig.cols {
-				names = append(names, d.props[c])
-			}
-			sort.Strings(names)
-			sigKeys[strings.Join(names, "\x00")] = struct{}{}
-		}
-	}
-	st.Properties = len(props)
-	st.Signatures = len(sigKeys)
-	st.Terms = s.dict.Len()
-	return st
+	return s.statsLocked(s.cutLocked())
 }
 
 // ShardStats returns per-shard statistics under one all-shard read
@@ -609,7 +547,7 @@ func (s *Sharded) StatsWithShards() (Stats, []Stats) {
 		st := s.shards[0].statsLocked()
 		return st, s.shardStatsLocked()
 	}
-	return s.mergedStatsLocked(), s.shardStatsLocked()
+	return s.statsLocked(s.cutLocked()), s.shardStatsLocked()
 }
 
 // ViewStorage returns the summed per-shard storage breakdown (each

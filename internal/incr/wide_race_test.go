@@ -8,6 +8,7 @@ import (
 	"repro/internal/bitset"
 	"repro/internal/datagen"
 	"repro/internal/matrix"
+	"repro/internal/rdf"
 	"repro/internal/rules"
 )
 
@@ -92,5 +93,108 @@ func TestWideConcurrentSnapshotWhileIngest(t *testing.T) {
 				t.Fatalf("implausible storage accounting: %+v", vs)
 			}
 		})
+	}
+}
+
+// TestWideConcurrentReadCut races writers against readers of the merged
+// read cut on the 2 000-column corpus. Every reader records (epoch, σ)
+// pairs through SigmaStats — one cut, so the stats epoch is the epoch
+// the ratio was computed at — and any two observations of one epoch
+// must agree, whichever reader made them and whether it built the cut
+// or reused it. One reader also scribbles over every aggregate export
+// it is handed, which must never show in a later read.
+func TestWideConcurrentReadCut(t *testing.T) {
+	g := datagen.WideSchemaGraph(datagen.WideAtScale(0.1, 1))
+	triples := g.Triples()
+	s := NewSharded(2, Options{})
+	base := len(triples) / 2
+	s.Apply(triples[:base], nil)
+
+	fns := []rules.Func{
+		rules.CovFunc(), rules.SimFunc(),
+		rules.DepFunc(datagen.WideProp(0), datagen.WideProp(1)),
+		rules.SymDepFunc(datagen.WideProp(2), datagen.WideProp(0)),
+	}
+	type obs struct {
+		epoch uint64
+		fn    int
+		sigma string
+	}
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	seen := make([][]obs, 4)
+	for r := range seen {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				fn := (i + r) % len(fns)
+				ratio, st, live := s.SigmaStats(fns[fn])
+				if !live {
+					t.Errorf("%s: no live evaluation", fns[fn].Name())
+					return
+				}
+				seen[r] = append(seen[r], obs{st.Epoch, fn, ratio.String()})
+				if r == 0 {
+					ex := s.ExportAggregates()
+					ex.Names[0] = "scribbled"
+					ex.Tracker.Gain(0)
+					ex.Tracker.AddSubjects(7)
+				}
+			}
+		}()
+	}
+	// Two writers on disjoint halves of the remaining stream, then a
+	// retraction pass, so epochs advance on both shards throughout.
+	rest := triples[base:]
+	var writers sync.WaitGroup
+	for w, part := range [][]rdf.Triple{rest[:len(rest)/2], rest[len(rest)/2:]} {
+		writers.Add(1)
+		go func() {
+			defer writers.Done()
+			const batch = 64
+			for i := 0; i < len(part); i += batch {
+				s.Apply(part[i:min(i+batch, len(part))], nil)
+			}
+			if w == 0 {
+				s.Apply(nil, part)
+			}
+		}()
+	}
+	writers.Wait()
+	close(done)
+	wg.Wait()
+
+	type key struct {
+		epoch uint64
+		fn    int
+	}
+	at := map[key]string{}
+	for _, list := range seen {
+		for _, o := range list {
+			k := key{o.epoch, o.fn}
+			if prev, ok := at[k]; ok && prev != o.sigma {
+				t.Fatalf("epoch %d, %s: observed both %q and %q", o.epoch, fns[o.fn].Name(), prev, o.sigma)
+			}
+			at[k] = o.sigma
+		}
+	}
+	// The final state is the batch answer, scribbles notwithstanding.
+	final := rdf.NewGraph()
+	for _, tr := range append(triples[:base:base], rest[len(rest)/2:]...) {
+		final.Add(tr)
+	}
+	want := matrix.FromGraph(final, matrix.Options{})
+	if got := s.SigmaCov(); got.String() != rules.Coverage(want).String() {
+		t.Fatalf("σCov after the race = %v, want %v", got, rules.Coverage(want))
+	}
+	if ex := s.ExportAggregates(); ex.Names[0] == "scribbled" || ex.Tracker.Subjects() != int64(want.NumSubjects()) {
+		t.Fatalf("a mutated export leaked into a later one: names[0] = %q, |S| = %d (want %d)",
+			ex.Names[0], ex.Tracker.Subjects(), want.NumSubjects())
 	}
 }

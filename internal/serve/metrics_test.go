@@ -109,6 +109,7 @@ func TestMetricsEndToEnd(t *testing.T) {
 		"rdf_engine_signatures",
 		"rdf_engine_subjects",
 		"rdf_engine_terms",
+		"rdf_engine_read_cut_total",
 	} {
 		if !strings.Contains(out, series) {
 			t.Errorf("/metrics missing series %s", series)
@@ -125,6 +126,15 @@ func TestMetricsEndToEnd(t *testing.T) {
 	} {
 		if !strings.Contains(out, sample) {
 			t.Errorf("/metrics missing sample %q\n%s", sample, out)
+		}
+	}
+
+	// The writes' stats and the first σ read built their parts of the
+	// read cut; the second σ read and /stats reused them.
+	for _, outcome := range []string{"build", "reuse"} {
+		sample := `rdf_engine_read_cut_total{outcome="` + outcome + `"} `
+		if !strings.Contains(out, sample) || strings.Contains(out, sample+"0\n") {
+			t.Errorf("/metrics: want a non-zero %s\n%s", sample, out)
 		}
 	}
 

@@ -739,6 +739,12 @@ const sigmaRetryAfterSeconds = 1
 // mutation advances the epoch and so invalidates every entry for free.
 // The X-Cache header reports hit/miss/bypass; nocache=1 bypasses the
 // cache (the ablation probe).
+//
+// A miss takes one engine read cut (Engine.SigmaStats): the ratio and
+// the stats in the body are of the same epoch by construction, so the
+// body is the one any reader at that epoch computes and is cached under
+// it unconditionally — a write landing mid-request cannot produce a
+// body that mixes two epochs.
 func (s *Server) handleSigma(w http.ResponseWriter, r *http.Request) {
 	name := r.URL.Query().Get("fn")
 	if name == "" {
@@ -752,21 +758,22 @@ func (s *Server) handleSigma(w http.ResponseWriter, r *http.Request) {
 	nocache := r.URL.Query().Get("nocache") == "1"
 	key := "fn=" + fn.Name()
 	if s.sigmaCache != nil && !nocache {
-		// Epoch() is an O(shards) consistent cut, much cheaper than the
-		// full Stats merge (O(signatures) on the sharded engine), so hits
-		// skip that merge entirely. A hit is by construction the body this
-		// handler would compute at this epoch: entries are only Put when
-		// the epoch was stable across the computation, and the composite
-		// epoch strictly increases per effective mutation. The empty-
-		// dataset guard below can run after this check — an empty dataset
-		// has no entry at its current epoch, because any mutation that
-		// emptied it advanced the epoch past every cached cut.
+		// Epoch() is an O(shards) consistent cut, so hits touch no
+		// aggregate at all. The empty-dataset guard below can run after
+		// this check — an empty dataset has no entry at its current epoch,
+		// because any mutation that emptied it advanced the epoch past
+		// every cached cut.
 		if v, ok := s.sigmaCache.Get(key, s.d.Epoch()); ok {
 			writeBody(w, "hit", v.([]byte))
 			return
 		}
 	}
-	st := s.d.Stats()
+	// Closed forms read the live counts in O(|P|) and dependency measures
+	// and compiled two-variable rules the live pair-count aggregates in
+	// O(1) per demanded pair — no snapshot — unless the measure has no
+	// live form or the pair tracker is disabled (live is false and the
+	// read falls back to snapshot evaluation below).
+	ratio, st, live := s.d.SigmaStats(fn)
 	if st.Subjects == 0 {
 		// Returning a zero ratio here would be indistinguishable from a
 		// genuinely unstructured dataset; tell the client to retry once
@@ -780,22 +787,8 @@ func (s *Server) handleSigma(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	resp := map[string]interface{}{"fn": fn.Name()}
-	var ratio rules.Ratio
-	live := false
-	if cf, ok := fn.(rules.CountsFunc); ok {
-		// Closed forms read the live counts in O(|P|) — no snapshot.
-		ratio = s.d.Sigma(cf)
-		live = true
-	} else if pf, ok := fn.(rules.PairCountsFunc); ok {
-		// Dependency measures and compiled two-variable rules read the
-		// live pair-count aggregates in O(1) — no snapshot — unless the
-		// tracker is disabled (live stays false and the read falls back
-		// to snapshot evaluation below).
-		ratio, live = s.d.SigmaPairs(pf)
-	}
+	epoch := st.Epoch
 	if live {
-		// Reuse the guard's Stats read: a second read would pay another
-		// all-shard merge on the sharded engine for the same request.
 		resp["stats"] = st
 	} else {
 		snap := s.d.Snapshot()
@@ -805,7 +798,8 @@ func (s *Server) handleSigma(w http.ResponseWriter, r *http.Request) {
 			writeError(w, http.StatusInternalServerError, "%v", err)
 			return
 		}
-		resp["epoch"] = snap.Epoch
+		epoch = snap.Epoch
+		resp["epoch"] = epoch
 	}
 	resp["value"] = ratio.Value()
 	resp["ratio"] = ratio.String()
@@ -813,13 +807,10 @@ func (s *Server) handleSigma(w http.ResponseWriter, r *http.Request) {
 	verdict := "miss"
 	if nocache {
 		verdict = "bypass"
-	} else if s.sigmaCache != nil && s.d.Epoch() == st.Epoch {
-		// Only cache when no write landed during the computation: the
-		// epoch re-check guarantees the body is the one any reader at
-		// st.Epoch computes, so a cached body is never served for an
-		// epoch it doesn't match. (Put's newer-epoch-wins rule closes
-		// the remaining store-order race.)
-		s.sigmaCache.Put(key, st.Epoch, body)
+	} else if s.sigmaCache != nil {
+		// Put's newer-epoch-wins rule closes the store-order race between
+		// two misses at different epochs.
+		s.sigmaCache.Put(key, epoch, body)
 	}
 	writeBody(w, verdict, body)
 }
