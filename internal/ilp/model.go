@@ -206,6 +206,9 @@ type Stats struct {
 	Propagations int64
 	Conflicts    int64
 	Nodes        int64 // branch-and-bound nodes
+	// TermScans counts the constraint terms PB propagation examined: a
+	// deterministic work measure for a given model and Options.
+	TermScans int64
 }
 
 // Result is the outcome of a feasibility solve.

@@ -16,6 +16,14 @@ import (
 // constraint is conflicting; when fixing a single literal would drop it
 // below b, the opposite value is implied (unit propagation on
 // pseudo-Boolean constraints).
+//
+// Each constraint keeps its terms sorted by |aᵢ|, largest first, so the
+// implication scan stops at the first term with |aᵢ| ≤ slack: no later
+// term can be implied. Assigning a literal never raises a maximum
+// activity, so implications are monotone and the propagation fixpoint —
+// and whether it conflicts — does not depend on the scan order. Every
+// variable's occurrence list carries its coefficient, so an assignment
+// updates the activities it touches without a term lookup.
 func SolvePB(m *Model, opts Options) Result {
 	if !m.AllBinary() {
 		panic("ilp: SolvePB requires all-binary model")
@@ -70,12 +78,24 @@ const unassigned = int8(-1)
 
 // pbConstraint is a normalized Σ aᵢxᵢ ≥ b constraint.
 type pbConstraint struct {
-	vars  []int
-	coefs []int64
+	terms []pbTerm // by |a| descending
 	rhs   int64
 	// maxAct is the maximum achievable LHS under the current partial
 	// assignment: Σ_{assigned} aᵢxᵢ + Σ_{unassigned} max(aᵢ, 0).
 	maxAct int64
+}
+
+// pbTerm is one coefficient–variable product of a constraint.
+type pbTerm struct {
+	v int32
+	a int64
+}
+
+// pbOcc is one occurrence of a variable: a constraint and the
+// variable's coefficient in it.
+type pbOcc struct {
+	ci int32
+	a  int64
 }
 
 type trailEntry struct {
@@ -88,7 +108,7 @@ type pbState struct {
 	m             *Model
 	value         []int8
 	cons          []pbConstraint
-	occ           [][]int32 // var -> constraint indices
+	occ           [][]pbOcc // var -> occurrences
 	trail         []trailEntry
 	stats         Stats
 	preferred     []int8
@@ -104,7 +124,7 @@ func newPBState(m *Model) *pbState {
 	s := &pbState{
 		m:     m,
 		value: make([]int8, m.NumVars()),
-		occ:   make([][]int32, m.NumVars()),
+		occ:   make([][]pbOcc, m.NumVars()),
 	}
 	for i := range s.value {
 		s.value[i] = unassigned
@@ -126,11 +146,10 @@ func newPBState(m *Model) *pbState {
 			s.addNormalized(c.Terms, c.RHS, -1)
 		}
 	}
-	s.sortConstraintTerms()
 	s.inDirty = make([]bool, len(s.cons))
 	for ci := range s.cons {
-		for _, v := range s.cons[ci].vars {
-			s.occ[v] = append(s.occ[v], int32(ci))
+		for _, t := range s.cons[ci].terms {
+			s.occ[t.v] = append(s.occ[t.v], pbOcc{ci: int32(ci), a: t.a})
 		}
 		s.markDirty(int32(ci)) // initial full scan
 	}
@@ -146,15 +165,15 @@ func (s *pbState) markDirty(ci int32) {
 
 // addNormalized adds sign·(Σ aᵢxᵢ) ≥ sign·rhs as a ≥ constraint.
 func (s *pbState) addNormalized(terms []Term, rhs int64, sign int64) {
-	c := pbConstraint{rhs: sign * rhs}
+	c := pbConstraint{rhs: sign * rhs, terms: make([]pbTerm, 0, len(terms))}
 	for _, t := range terms {
 		a := sign * t.Coef
-		c.vars = append(c.vars, int(t.Var))
-		c.coefs = append(c.coefs, a)
+		c.terms = append(c.terms, pbTerm{v: int32(t.Var), a: a})
 		if a > 0 {
 			c.maxAct += a
 		}
 	}
+	sort.SliceStable(c.terms, func(i, j int) bool { return abs(c.terms[i].a) > abs(c.terms[j].a) })
 	s.cons = append(s.cons, c)
 }
 
@@ -185,17 +204,16 @@ func (s *pbState) assign(v int, val int8, decision bool) bool {
 	s.trail = append(s.trail, trailEntry{v: v, decision: decision, tried: val})
 	s.stats.Propagations++
 	ok := true
-	for _, ci := range s.occ[v] {
-		c := &s.cons[ci]
-		a := c.coefAt(v)
-		if a > 0 {
+	for _, o := range s.occ[v] {
+		c := &s.cons[o.ci]
+		if a := o.a; a > 0 {
 			if val == 0 {
 				c.maxAct -= a
-				s.markDirty(ci)
+				s.markDirty(o.ci)
 			}
 		} else if val == 1 {
 			c.maxAct += a
-			s.markDirty(ci)
+			s.markDirty(o.ci)
 		}
 		if c.maxAct < c.rhs {
 			ok = false
@@ -207,10 +225,9 @@ func (s *pbState) assign(v int, val int8, decision bool) bool {
 // unassign restores v and the constraint activities.
 func (s *pbState) unassign(v int) {
 	val := s.value[v]
-	for _, ci := range s.occ[v] {
-		c := &s.cons[ci]
-		a := c.coefAt(v)
-		if a > 0 {
+	for _, o := range s.occ[v] {
+		c := &s.cons[o.ci]
+		if a := o.a; a > 0 {
 			if val == 0 {
 				c.maxAct += a
 			}
@@ -230,7 +247,11 @@ func (s *pbState) decide(v int, val int8) bool {
 // dirty constraint set and reports whether the state is conflict-free.
 // Tightening a constraint marks it dirty (via assign), so only touched
 // constraints are rescanned; relaxations (backtracking) can never
-// create new implications and need no marking.
+// create new implications and need no marking. A constraint's scan
+// stops at the first term with |a| ≤ slack, since its terms are sorted
+// by |a| descending. An implied literal takes its term's better value,
+// so it leaves the constraint's own slack unchanged for the rest of the
+// scan.
 func (s *pbState) propagate() bool {
 	for len(s.dirty) > 0 {
 		ci := s.dirty[len(s.dirty)-1]
@@ -241,27 +262,22 @@ func (s *pbState) propagate() bool {
 		if slack < 0 {
 			return false
 		}
-		for k, v := range c.vars {
+		for _, t := range c.terms {
+			s.stats.TermScans++
+			if abs(t.a) <= slack {
+				break
+			}
+			v := int(t.v)
 			if s.value[v] != unassigned {
 				continue
 			}
-			a := c.coefs[k]
-			switch {
-			case a > 0 && slack < a:
-				// Setting v=0 would drop maxAct below rhs ⇒ v must be 1.
-				if !s.assign(v, 1, false) {
-					return false
-				}
-			case a < 0 && slack < -a:
-				// Setting v=1 would drop maxAct below rhs ⇒ v must be 0.
-				if !s.assign(v, 0, false) {
-					return false
-				}
-			default:
-				continue
+			// Setting v to the value that loses |a| would drop maxAct
+			// below rhs ⇒ v takes the other value.
+			val := int8(1)
+			if t.a < 0 {
+				val = 0
 			}
-			slack = c.maxAct - c.rhs
-			if slack < 0 {
+			if !s.assign(v, val, false) {
 				return false
 			}
 		}
@@ -269,22 +285,11 @@ func (s *pbState) propagate() bool {
 	return true
 }
 
-// coefAt returns the coefficient of variable v in c (0 if absent).
-func (c *pbConstraint) coefAt(v int) int64 {
-	// Term lists are sorted at build time for binary search when long.
-	if len(c.vars) > 16 {
-		i := sort.SearchInts(c.vars, v)
-		if i < len(c.vars) && c.vars[i] == v {
-			return c.coefs[i]
-		}
-		return 0
+func abs(a int64) int64 {
+	if a < 0 {
+		return -a
 	}
-	for i, w := range c.vars {
-		if w == v {
-			return c.coefs[i]
-		}
-	}
-	return 0
+	return a
 }
 
 // backtrack undoes to the most recent decision whose alternative value
@@ -319,26 +324,4 @@ func (s *pbState) backtrack() bool {
 		}
 	}
 	return false
-}
-
-// sortConstraintTerms orders long term lists for binary-search lookup.
-func (s *pbState) sortConstraintTerms() {
-	for ci := range s.cons {
-		c := &s.cons[ci]
-		if len(c.vars) <= 16 {
-			continue
-		}
-		idx := make([]int, len(c.vars))
-		for i := range idx {
-			idx[i] = i
-		}
-		sort.Slice(idx, func(a, b int) bool { return c.vars[idx[a]] < c.vars[idx[b]] })
-		nv := make([]int, len(c.vars))
-		nc := make([]int64, len(c.coefs))
-		for i, j := range idx {
-			nv[i] = c.vars[j]
-			nc[i] = c.coefs[j]
-		}
-		c.vars, c.coefs = nv, nc
-	}
 }

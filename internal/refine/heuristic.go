@@ -261,13 +261,14 @@ func (s score) better(t score) bool {
 // the measure, the view, and per-signature property supports and
 // subject counts. When the measure is counts-based (rules.CountsFunc,
 // i.e. the closed forms σCov, σSim and compiled one-variable rules),
-// groups are scored from running Σ counts in O(|P|) without
-// materializing subset views; when it is pair-counts-based with fixed
-// demands (rules.PairCountsFunc + PairDemands, i.e. σDep, σSymDep,
-// σDepDisj and compiled pinned two-variable rules), a running
-// co-occurrence count per demanded pair per sort extends the same
-// delta-scoring to dependency measures — no signature scan per move.
-// It is safe for concurrent use; mutable scratch lives in the callers.
+// groups are scored from the running moments of their counts, which a
+// move updates in O(popcount) — only the moved signature's columns
+// change; when it is pair-counts-based with fixed demands
+// (rules.PairCountsFunc + PairDemands, i.e. σDep, σSymDep, σDepDisj and
+// compiled pinned two-variable rules), a running co-occurrence count
+// per demanded pair per sort extends the same delta-scoring to
+// dependency measures — no signature scan per move. It is safe for
+// concurrent use; mutable aggregates live in the callers.
 type groupEval struct {
 	fn       rules.Func
 	inc      rules.CountsFunc     // nil when fn has no counts form
@@ -345,71 +346,94 @@ func (t *trackedPairs) Both(i, j int) int64 {
 	panic("refine: pair-count read outside the measure's declared demands")
 }
 
-// addSigPairs adds (sign = +1) or removes (sign = −1) signature mu's
-// contribution to a group's demanded pair counts.
-func (ge *groupEval) addSigPairs(pairs []int64, mu int, sign int64) {
-	if len(ge.pairCols) == 0 {
-		return
+// agg is the delta-maintained aggregate of one group of signatures: its
+// subject count, its per-property counts N_p with their moments, and
+// (pair mode) its demanded co-occurrence counts. Counts mode scores the
+// moments; pair mode hands the N_p vector to the pair kernel.
+type agg struct {
+	n      int64
+	counts []int64
+	mom    rules.Moments
+	pairs  *trackedPairs // nil in counts mode
+}
+
+// newAgg returns the aggregate of group.
+func (ge *groupEval) newAgg(group []int) *agg {
+	g := &agg{counts: make([]int64, ge.nProps)}
+	if ge.pairFn != nil {
+		g.pairs = &trackedPairs{view: ge.view, cols: ge.pairCols, vals: make([]int64, len(ge.pairCols))}
 	}
+	for _, mu := range group {
+		ge.add(g, mu, +1)
+	}
+	return g
+}
+
+// add folds signature mu into g (sign = +1) or takes it out
+// (sign = −1) in O(popcount(μ)).
+func (ge *groupEval) add(g *agg, mu int, sign int64) {
 	c := sign * ge.count[mu]
-	base := mu * len(ge.pairCols)
-	for s := range ge.pairCols {
-		if ge.pairHas[base+s] {
-			pairs[s] += c
+	g.n += c
+	for _, p := range ge.support[mu] {
+		old := g.counts[p]
+		g.counts[p] = old + c
+		g.mom = g.mom.Move(old, old+c)
+	}
+	if g.pairs != nil {
+		base := mu * len(ge.pairCols)
+		for s := range ge.pairCols {
+			if ge.pairHas[base+s] {
+				g.pairs.vals[s] += c
+			}
 		}
 	}
 }
 
-// valueFrom scores a group from its aggregates — counts mode or pair
-// mode. tp carries the group's tracked pair counts (nil in counts
-// mode). Empty groups are vacuous (σ = 1).
-func (ge *groupEval) valueFrom(counts []int64, tp *trackedPairs, subjects int64) float64 {
-	if subjects == 0 {
+// fold adds (sign = +1) or subtracts (sign = −1) group src, whose
+// non-zero columns are srcLive, into dst in O(|srcLive|). Moving each
+// column of dst by src's count accumulates, in dst's moments, the
+// overlap of the two live sets and the Σ N_p·N′_p cross term.
+func (ge *groupEval) fold(dst, src *agg, srcLive []int, sign int64) {
+	dst.n += sign * src.n
+	for _, p := range srcLive {
+		old := dst.counts[p]
+		dst.counts[p] = old + sign*src.counts[p]
+		dst.mom = dst.mom.Move(old, dst.counts[p])
+	}
+	if dst.pairs != nil {
+		for s, c := range src.pairs.vals {
+			dst.pairs.vals[s] += sign * c
+		}
+	}
+}
+
+// value scores g. Empty groups are vacuous (σ = 1).
+func (ge *groupEval) value(g *agg) float64 {
+	if g.n == 0 {
 		return 1
 	}
 	if ge.inc != nil {
-		return ge.inc.EvalCounts(counts, subjects).Value()
+		return ge.inc.EvalMoments(g.mom, g.n).Value()
 	}
-	return ge.pairFn.EvalPairCounts(counts, tp, subjects).Value()
+	return ge.pairFn.EvalPairCounts(g.counts, g.pairs, g.n).Value()
 }
 
-// addSig adds (sign = +1) or removes (sign = −1) signature mu's
-// contribution to a running property-count vector.
-func (ge *groupEval) addSig(counts []int64, mu int, sign int64) {
-	c := sign * ge.count[mu]
-	for _, p := range ge.support[mu] {
-		counts[p] += c
-	}
+// valueWith scores g with signature mu added (sign = +1) or removed
+// (sign = −1). The move is applied in place and undone — the integer
+// aggregates return exactly to their prior state — so a candidate costs
+// O(popcount(μ)) and needs no scratch copy.
+func (ge *groupEval) valueWith(g *agg, mu int, sign int64) float64 {
+	ge.add(g, mu, sign)
+	v := ge.value(g)
+	ge.add(g, mu, -sign)
+	return v
 }
 
-// groupCounts fills counts with the aggregate of the group and returns
-// its subject count. counts must be zeroed, len nProps.
-func (ge *groupEval) groupCounts(counts []int64, group []int) int64 {
-	var subjects int64
-	for _, mu := range group {
-		ge.addSig(counts, mu, +1)
-		subjects += ge.count[mu]
-	}
-	return subjects
-}
-
-// eval scores an arbitrary group, via counts when available and the
-// generic subset-view evaluator otherwise. scratch (len nProps) is
-// used in counts mode; pass nil to allocate.
-func (ge *groupEval) eval(group []int, scratch []int64) (float64, error) {
+// eval scores an arbitrary group through its subset view — the generic
+// path for measures without an aggregate form.
+func (ge *groupEval) eval(group []int) (float64, error) {
 	if len(group) == 0 {
 		return 1, nil
-	}
-	if ge.inc != nil {
-		if scratch == nil {
-			scratch = make([]int64, ge.nProps)
-		} else {
-			for i := range scratch {
-				scratch[i] = 0
-			}
-		}
-		subjects := ge.groupCounts(scratch, group)
-		return ge.valueFrom(scratch, nil, subjects), nil
 	}
 	r, err := ge.fn.Eval(ge.view.Subset(group))
 	if err != nil {
@@ -419,33 +443,17 @@ func (ge *groupEval) eval(group []int, scratch []int64) (float64, error) {
 }
 
 // searchState evaluates relocation moves incrementally. Per-sort σ
-// values are cached, and for counts-based measures the per-sort
-// property-count aggregates — plus, under pair mode, the demanded
-// co-occurrence counts — are maintained so a candidate move is scored
-// in O(|P|) — independent of group sizes — instead of re-evaluating
-// whole subset views.
+// values are cached, and for counts- and pair-based measures the
+// per-sort aggregates are maintained so a candidate move is scored in
+// O(popcount) — independent of group sizes and of |P| — instead of
+// re-evaluating whole subset views.
 type searchState struct {
 	ge     *groupEval
 	assign Assignment
 	k      int
 	groups [][]int   // sort -> ascending signature indices
 	vals   []float64 // per-sort σ (vacuous 1 for empty)
-	// Incremental aggregates (counts and pair modes).
-	counts       [][]int64 // per sort: property counts
-	pairs        [][]int64 // per sort: demanded pair counts (pair mode)
-	nsub         []int64   // per sort: subject count
-	scratch      []int64
-	scratchPairs []int64
-	tp           *trackedPairs // reusable aggregate adapter (pair mode)
-}
-
-// value scores a sort from its aggregates, routing the tracked pair
-// counts through the reusable adapter in pair mode.
-func (st *searchState) value(counts, pairs []int64, subjects int64) float64 {
-	if st.tp != nil {
-		st.tp.vals = pairs
-	}
-	return st.ge.valueFrom(counts, st.tp, subjects)
+	aggs   []*agg    // per sort; nil in generic mode
 }
 
 func newSearchState(ge *groupEval, assign Assignment, k int) (*searchState, error) {
@@ -456,31 +464,15 @@ func newSearchState(ge *groupEval, assign Assignment, k int) (*searchState, erro
 	}
 	st.vals = make([]float64, k)
 	if ge.incremental() {
-		st.counts = make([][]int64, k)
-		st.nsub = make([]int64, k)
-		st.scratch = make([]int64, ge.nProps)
-		if ge.pairFn != nil {
-			st.pairs = make([][]int64, k)
-			st.scratchPairs = make([]int64, len(ge.pairCols))
-			st.tp = &trackedPairs{view: ge.view, cols: ge.pairCols}
-		}
+		st.aggs = make([]*agg, k)
 		for s := range st.groups {
-			st.counts[s] = make([]int64, ge.nProps)
-			st.nsub[s] = ge.groupCounts(st.counts[s], st.groups[s])
-			var pv []int64
-			if st.pairs != nil {
-				st.pairs[s] = make([]int64, len(ge.pairCols))
-				for _, mu := range st.groups[s] {
-					ge.addSigPairs(st.pairs[s], mu, +1)
-				}
-				pv = st.pairs[s]
-			}
-			st.vals[s] = st.value(st.counts[s], pv, st.nsub[s])
+			st.aggs[s] = ge.newAgg(st.groups[s])
+			st.vals[s] = ge.value(st.aggs[s])
 		}
 		return st, nil
 	}
 	for s := range st.groups {
-		val, err := ge.eval(st.groups[s], nil)
+		val, err := ge.eval(st.groups[s])
 		if err != nil {
 			return nil, err
 		}
@@ -492,35 +484,19 @@ func newSearchState(ge *groupEval, assign Assignment, k int) (*searchState, erro
 // evalRemove scores sort a with signature mu removed. ga is the group
 // list after removal (used only in generic mode).
 func (st *searchState) evalRemove(a, mu int, ga []int) (float64, error) {
-	if !st.ge.incremental() {
-		return st.ge.eval(ga, nil)
+	if st.aggs == nil {
+		return st.ge.eval(ga)
 	}
-	copy(st.scratch, st.counts[a])
-	st.ge.addSig(st.scratch, mu, -1)
-	var pv []int64
-	if st.pairs != nil {
-		copy(st.scratchPairs, st.pairs[a])
-		st.ge.addSigPairs(st.scratchPairs, mu, -1)
-		pv = st.scratchPairs
-	}
-	return st.value(st.scratch, pv, st.nsub[a]-st.ge.count[mu]), nil
+	return st.ge.valueWith(st.aggs[a], mu, -1), nil
 }
 
 // evalInsert scores sort b with signature mu added. gb is the group
 // list after insertion (used only in generic mode).
 func (st *searchState) evalInsert(b, mu int, gb []int) (float64, error) {
-	if !st.ge.incremental() {
-		return st.ge.eval(gb, nil)
+	if st.aggs == nil {
+		return st.ge.eval(gb)
 	}
-	copy(st.scratch, st.counts[b])
-	st.ge.addSig(st.scratch, mu, +1)
-	var pv []int64
-	if st.pairs != nil {
-		copy(st.scratchPairs, st.pairs[b])
-		st.ge.addSigPairs(st.scratchPairs, mu, +1)
-		pv = st.scratchPairs
-	}
-	return st.value(st.scratch, pv, st.nsub[b]+st.ge.count[mu]), nil
+	return st.ge.valueWith(st.aggs[b], mu, +1), nil
 }
 
 // apply moves signature mu to sort b, with va/vb the already-computed
@@ -532,15 +508,9 @@ func (st *searchState) apply(mu, b int, va, vb float64) {
 	st.assign[mu] = b
 	st.vals[a] = va
 	st.vals[b] = vb
-	if st.ge.incremental() {
-		st.ge.addSig(st.counts[a], mu, -1)
-		st.ge.addSig(st.counts[b], mu, +1)
-		st.nsub[a] -= st.ge.count[mu]
-		st.nsub[b] += st.ge.count[mu]
-		if st.pairs != nil {
-			st.ge.addSigPairs(st.pairs[a], mu, -1)
-			st.ge.addSigPairs(st.pairs[b], mu, +1)
-		}
+	if st.aggs != nil {
+		st.ge.add(st.aggs[a], mu, -1)
+		st.ge.add(st.aggs[b], mu, +1)
 	}
 }
 
@@ -609,7 +579,7 @@ func insertSorted(g []int, mu int) []int {
 // optimum, the iteration cap, or cancellation.
 func (st *searchState) localSearch(maxIters int, cancel <-chan struct{}) error {
 	n := len(st.assign)
-	incremental := st.ge.incremental()
+	generic := st.aggs == nil
 	for iter := 0; iter < maxIters; iter++ {
 		if canceled(cancel) {
 			return errCanceled
@@ -621,7 +591,7 @@ func (st *searchState) localSearch(maxIters int, cancel <-chan struct{}) error {
 		for mu := 0; mu < n; mu++ {
 			a := st.assign[mu]
 			var ga []int
-			if !incremental {
+			if generic {
 				ga = remove(st.groups[a], mu)
 			}
 			va, err := st.evalRemove(a, mu, ga)
@@ -634,7 +604,7 @@ func (st *searchState) localSearch(maxIters int, cancel <-chan struct{}) error {
 					continue
 				}
 				var gb []int
-				if !incremental {
+				if generic {
 					gb = insertSorted(st.groups[b], mu)
 				}
 				vb, err := st.evalInsert(b, mu, gb)
@@ -672,46 +642,19 @@ func greedySeed(ge *groupEval, k int) (Assignment, error) {
 	groups := make([][]int, k)
 	vals := make([]float64, k)
 	used := 0
-	var counts, pairs [][]int64
-	var nsub []int64
-	var scratch, scratchPairs []int64
-	var tp *trackedPairs
+	var aggs []*agg
 	if ge.incremental() {
-		counts = make([][]int64, k)
-		for s := range counts {
-			counts[s] = make([]int64, ge.nProps)
+		aggs = make([]*agg, k)
+		for s := range aggs {
+			aggs[s] = ge.newAgg(nil)
 		}
-		nsub = make([]int64, k)
-		scratch = make([]int64, ge.nProps)
-		if ge.pairFn != nil {
-			pairs = make([][]int64, k)
-			for s := range pairs {
-				pairs[s] = make([]int64, len(ge.pairCols))
-			}
-			scratchPairs = make([]int64, len(ge.pairCols))
-			tp = &trackedPairs{view: ge.view, cols: ge.pairCols}
-		}
-	}
-	value := func(cnts, pv []int64, subjects int64) float64 {
-		if tp != nil {
-			tp.vals = pv
-		}
-		return ge.valueFrom(cnts, tp, subjects)
 	}
 	// evalWith scores sort s with mu added.
 	evalWith := func(s, mu int) (float64, error) {
-		if ge.incremental() {
-			copy(scratch, counts[s])
-			ge.addSig(scratch, mu, +1)
-			var pv []int64
-			if pairs != nil {
-				copy(scratchPairs, pairs[s])
-				ge.addSigPairs(scratchPairs, mu, +1)
-				pv = scratchPairs
-			}
-			return value(scratch, pv, nsub[s]+ge.count[mu]), nil
+		if aggs != nil {
+			return ge.valueWith(aggs[s], mu, +1), nil
 		}
-		return ge.eval(insertSorted(groups[s], mu), nil)
+		return ge.eval(insertSorted(groups[s], mu))
 	}
 	for _, mu := range order {
 		// Placing into any currently-empty sort is symmetric; try only
@@ -755,12 +698,8 @@ func greedySeed(ge *groupEval, k int) (Assignment, error) {
 		groups[bestSort] = insertSorted(groups[bestSort], mu)
 		vals[bestSort] = bestVal
 		assign[mu] = bestSort
-		if ge.incremental() {
-			ge.addSig(counts[bestSort], mu, +1)
-			nsub[bestSort] += ge.count[mu]
-			if pairs != nil {
-				ge.addSigPairs(pairs[bestSort], mu, +1)
-			}
+		if aggs != nil {
+			ge.add(aggs[bestSort], mu, +1)
 		}
 	}
 	return assign, nil
@@ -777,51 +716,35 @@ func mergeSeed(ge *groupEval, k int) (Assignment, error) {
 	for mu := 0; mu < n; mu++ {
 		groups = append(groups, []int{mu})
 	}
-	var counts, pairs [][]int64
-	var nsub []int64
-	var scratch, scratchPairs []int64
-	var tp *trackedPairs
+	// Each group keeps its aggregate and its live-column list (the
+	// columns with N_p > 0), so a merge is scored and applied in
+	// O(min live) rather than O(|P|).
+	var aggs []*agg
+	var live [][]int
 	if ge.incremental() {
-		counts = make([][]int64, n)
-		nsub = make([]int64, n)
-		scratch = make([]int64, ge.nProps)
-		if ge.pairFn != nil {
-			pairs = make([][]int64, n)
-			scratchPairs = make([]int64, len(ge.pairCols))
-			tp = &trackedPairs{view: ge.view, cols: ge.pairCols}
-		}
+		aggs = make([]*agg, n)
+		live = make([][]int, n)
 		for mu := 0; mu < n; mu++ {
-			counts[mu] = make([]int64, ge.nProps)
-			ge.addSig(counts[mu], mu, +1)
-			nsub[mu] = ge.count[mu]
-			if pairs != nil {
-				pairs[mu] = make([]int64, len(ge.pairCols))
-				ge.addSigPairs(pairs[mu], mu, +1)
-			}
+			aggs[mu] = ge.newAgg(groups[mu])
+			live[mu] = append([]int(nil), ge.support[mu]...)
 		}
 	}
-	// evalPair scores the merge of groups i and j. Pair counts are
-	// additive over disjoint subject sets, so a merge sums the slots.
+	// evalPair scores the merge of groups i and j: the group with fewer
+	// live columns is folded into the other, scored and folded back out.
+	// Every aggregate is additive over disjoint subject sets and the
+	// union's moments do not depend on the fold direction, so the score
+	// is the exact value of the merged group.
 	evalPair := func(i, j int) (float64, error) {
-		if ge.incremental() {
-			copy(scratch, counts[i])
-			for p, c := range counts[j] {
-				scratch[p] += c
-			}
-			var pv []int64
-			if pairs != nil {
-				copy(scratchPairs, pairs[i])
-				for s, c := range pairs[j] {
-					scratchPairs[s] += c
-				}
-				pv = scratchPairs
-			}
-			if tp != nil {
-				tp.vals = pv
-			}
-			return ge.valueFrom(scratch, tp, nsub[i]+nsub[j]), nil
+		if aggs == nil {
+			return ge.eval(mergeSorted(groups[i], groups[j]))
 		}
-		return ge.eval(mergeSorted(groups[i], groups[j]), nil)
+		if len(live[i]) > len(live[j]) {
+			i, j = j, i
+		}
+		ge.fold(aggs[j], aggs[i], live[i], +1)
+		v := ge.value(aggs[j])
+		ge.fold(aggs[j], aggs[i], live[i], -1)
+		return v, nil
 	}
 	// Merge-score cache: a round's merge only changes scores involving
 	// the merged group, so the (i, j) score matrix is computed once and
@@ -870,19 +793,15 @@ func mergeSeed(ge *groupEval, k int) (Assignment, error) {
 		}
 		groups[bestI] = mergeSorted(groups[bestI], groups[bestJ])
 		groups = append(groups[:bestJ], groups[bestJ+1:]...)
-		if ge.incremental() {
-			for p, c := range counts[bestJ] {
-				counts[bestI][p] += c
-			}
-			nsub[bestI] += nsub[bestJ]
-			counts = append(counts[:bestJ], counts[bestJ+1:]...)
-			nsub = append(nsub[:bestJ], nsub[bestJ+1:]...)
-			if pairs != nil {
-				for s, c := range pairs[bestJ] {
-					pairs[bestI][s] += c
+		if aggs != nil {
+			for _, p := range live[bestJ] {
+				if aggs[bestI].counts[p] == 0 {
+					live[bestI] = append(live[bestI], p)
 				}
-				pairs = append(pairs[:bestJ], pairs[bestJ+1:]...)
 			}
+			ge.fold(aggs[bestI], aggs[bestJ], live[bestJ], +1)
+			aggs = append(aggs[:bestJ], aggs[bestJ+1:]...)
+			live = append(live[:bestJ], live[bestJ+1:]...)
 		}
 		if cache != nil {
 			// Drop row/column bestJ (mirroring the groups deletion), then

@@ -8,6 +8,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/bitset"
+	"repro/internal/datagen"
 	"repro/internal/matrix"
 	"repro/internal/rules"
 )
@@ -218,7 +219,7 @@ func naiveMergeSeed(ge *groupEval, k int) (Assignment, error) {
 		bestI, bestJ, bestVal := -1, -1, -1.0
 		for i := 0; i < len(groups); i++ {
 			for j := i + 1; j < len(groups); j++ {
-				val, err := ge.eval(mergeSorted(groups[i], groups[j]), nil)
+				val, err := ge.eval(mergeSorted(groups[i], groups[j]))
 				if err != nil {
 					return nil, err
 				}
@@ -284,6 +285,30 @@ func TestMergeSeedCacheMatchesNaive(t *testing.T) {
 			}
 			if !reflect.DeepEqual(got, want) {
 				t.Errorf("%s k=%d: cached mergeSeed diverged\n got %v\nwant %v", fn.Name(), k, got, want)
+			}
+		}
+	}
+	// The 2 000-column view: groups' live-column lists are a tiny share
+	// of |P|. The naive reference rescans O(n²) subset views per merge,
+	// so only the first merges are compared.
+	wide := datagen.WideSchema(datagen.WideAtScale(0.1, 1))
+	n := wide.NumSignatures()
+	for _, fn := range []rules.Func{
+		rules.CovFunc(),
+		rules.SimFunc(),
+		rules.DepFunc(datagen.WideProp(0), datagen.WideProp(1)),
+	} {
+		for _, k := range []int{n - 6, n - 1} {
+			got, err := mergeSeed(newGroupEval(fn, wide), k)
+			if err != nil {
+				t.Fatalf("wide %s k=%d: %v", fn.Name(), k, err)
+			}
+			want, err := naiveMergeSeed(newGroupEval(fn, wide), k)
+			if err != nil {
+				t.Fatalf("wide %s k=%d: naive: %v", fn.Name(), k, err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("wide %s k=%d: cached mergeSeed diverged\n got %v\nwant %v", fn.Name(), k, got, want)
 			}
 		}
 	}

@@ -1,6 +1,7 @@
 package refine
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/datagen"
@@ -153,6 +154,77 @@ func TestHighestThetaDepMatchesBaseline(t *testing.T) {
 	for i := range outF.Refinement.Assignment {
 		if outF.Refinement.Assignment[i] != outS.Refinement.Assignment[i] {
 			t.Fatalf("assignments diverge at signature %d", i)
+		}
+	}
+}
+
+// The moments path (σCov, σSim and a compiled one-variable rule) must
+// drive the search through exactly the generic subset-view trajectory,
+// on a narrow corpus and on a 2 000-column one where a signature
+// touches a few columns out of |P|: identical assignments, σ Ratios and
+// minimum σ from both SolveHeuristic and HighestTheta.
+func TestMomentsModeBitIdenticalToGenericSearch(t *testing.T) {
+	views := []struct {
+		name string
+		v    *matrix.View
+		ks   []int // the generic path rescans 2 000 columns per move
+	}{
+		{"persons", depView(t), []int{2, 3}},
+		{"wide", datagen.WideSchema(datagen.WideAtScale(0.1, 1)), []int{2}},
+	}
+	funcs := []rules.Func{
+		rules.CovFunc(),
+		rules.SimFunc(),
+		rules.FuncForRule(rules.MustParse("val(c) = 0 -> val(c) = 1")),
+	}
+	same := func(t *testing.T, what string, f, s *Refinement) {
+		t.Helper()
+		if !reflect.DeepEqual(f.Assignment, s.Assignment) {
+			t.Fatalf("%s: assignments diverge:\n moments %v\n generic %v", what, f.Assignment, s.Assignment)
+		}
+		if f.MinSigma != s.MinSigma {
+			t.Fatalf("%s: min σ %v vs %v", what, f.MinSigma, s.MinSigma)
+		}
+		for i := range f.Values {
+			if f.Values[i].Fav.Cmp(s.Values[i].Fav) != 0 || f.Values[i].Tot.Cmp(s.Values[i].Tot) != 0 {
+				t.Fatalf("%s: sort %d Ratio %v vs %v", what, i, f.Values[i], s.Values[i])
+			}
+		}
+	}
+	for _, vc := range views {
+		for _, fn := range funcs {
+			if _, ok := fn.(rules.CountsFunc); !ok {
+				t.Fatalf("%s: not a CountsFunc", fn.Name())
+			}
+			what := vc.name + " " + fn.Name()
+			hopts := HeuristicOptions{Restarts: 4, MaxIters: 10, Seed: 7}
+			for _, k := range vc.ks {
+				fast := &Problem{View: vc.v, Func: fn, K: k, Theta1: 95, Theta2: 100}
+				slow := &Problem{View: vc.v, Func: opaqueFunc{fn}, K: k, Theta1: 95, Theta2: 100}
+				refF, okF, errF := SolveHeuristic(fast, hopts)
+				refS, okS, errS := SolveHeuristic(slow, hopts)
+				if errF != nil || errS != nil {
+					t.Fatalf("%s k=%d: errs %v / %v", what, k, errF, errS)
+				}
+				if okF != okS {
+					t.Fatalf("%s k=%d: feasible %v vs %v", what, k, okF, okS)
+				}
+				same(t, what, refF, refS)
+			}
+			sopts := SearchOptions{Engine: EngineHeuristic, Heuristic: hopts, Workers: 1}
+			outF, err := HighestTheta(vc.v, nil, fn, 2, sopts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			outS, err := HighestTheta(vc.v, nil, opaqueFunc{fn}, 2, sopts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if outF.Theta1 != outS.Theta1 || outF.Instances != outS.Instances {
+				t.Fatalf("%s: θ %d/%d after %d probes vs %d/%d after %d", what,
+					outF.Theta1, outF.Theta2, outF.Instances, outS.Theta1, outS.Theta2, outS.Instances)
+			}
+			same(t, what+" HighestTheta", outF.Refinement, outS.Refinement)
 		}
 	}
 }

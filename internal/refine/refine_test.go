@@ -227,6 +227,42 @@ func TestHighestThetaCovSplit(t *testing.T) {
 	}
 }
 
+// constFunc is a stub measure with the same σ on every view.
+type constFunc struct{ fav, tot int64 }
+
+func (c constFunc) Name() string { return "const" }
+func (c constFunc) Eval(*matrix.View) (rules.Ratio, error) {
+	return rules.NewRatio(c.fav, c.tot), nil
+}
+
+// HighestTheta starts at the exact ⌊σ(D)·step⌋. A float product lands
+// below 29 for σ = 29/100 (an extra probe) and rounds up to 72 for a
+// ratio just under 72/100 (a false witness).
+func TestHighestThetaStartIsExactFloor(t *testing.T) {
+	v := aliveDeadView(t)
+	opts := SearchOptions{Engine: EngineHeuristic, Workers: 1}
+	for _, c := range []struct {
+		fn        constFunc
+		theta1    int64
+		instances int
+	}{
+		{constFunc{29, 100}, 29, 1},
+		{constFunc{5398726017373739, 7498230579685749}, 71, 1},
+	} {
+		out, err := HighestTheta(v, nil, c.fn, 2, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out.Theta1 != c.theta1 || out.Instances != c.instances {
+			t.Errorf("σ = %d/%d: θ = %d/100 after %d probes, want %d/100 after %d",
+				c.fn.fav, c.fn.tot, out.Theta1, out.Instances, c.theta1, c.instances)
+		}
+		if ok, _ := Feasible(c.fn, v, out.Refinement.Assignment, 2, out.Theta1, out.Theta2); !ok {
+			t.Errorf("σ = %d/%d: reported refinement does not meet θ = %d/100", c.fn.fav, c.fn.tot, out.Theta1)
+		}
+	}
+}
+
 func TestLowestKCov(t *testing.T) {
 	// Three incompatible signatures, θ=1 ⇒ k=3.
 	v := mkView(t, []string{"a", "b", "c"},

@@ -2,6 +2,7 @@ package refine
 
 import (
 	"fmt"
+	"math/big"
 	"runtime"
 	"time"
 
@@ -202,8 +203,15 @@ func HighestTheta(view *matrix.View, rule *rules.Rule, fn rules.Func, k int, opt
 	}
 	start := time.Now()
 	// Start at ⌊σ(D)·step⌋/step: guaranteed feasible with the identity
-	// refinement.
-	t1 := int64(base.Value() * float64(opts.ThetaStep))
+	// refinement. The floor is taken on the exact rational — a float
+	// product can land just below an integer (one wasted probe) or round
+	// up past one, which would report the identity refinement as a
+	// witness for a θ it does not meet.
+	t1 := opts.ThetaStep
+	if base.Tot != nil && base.Tot.Sign() != 0 {
+		q := new(big.Int).Mul(base.Fav, big.NewInt(opts.ThetaStep))
+		t1 = q.Div(q, base.Tot).Int64()
+	}
 	if t1 < 0 {
 		t1 = 0
 	}

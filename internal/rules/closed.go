@@ -13,8 +13,9 @@ import (
 // encodings) and as closed-form evaluators over the signature view.
 // The closed forms are algebraically derived from the rule semantics
 // and verified against the generic evaluator in tests; they are what
-// makes local search over candidate partitions fast (O(|P|) per
-// evaluation instead of enumerating rough assignments).
+// makes local search over candidate partitions fast (σCov and σSim read
+// three running moments of the counts, so scoring a move costs
+// O(popcount) instead of enumerating rough assignments).
 
 // CovRule returns the rule expressing σCov: c = c ↦ val(c) = 1.
 func CovRule() *Rule {
@@ -246,18 +247,50 @@ type Func interface {
 	Eval(v *matrix.View) (Ratio, error)
 }
 
+// Moments are the three column statistics of a (sub-)dataset's
+// per-property subject counts N_p that the counts-only measures read:
+// Sum = Σ N_p, SumSq = Σ N_p² and Live = #{p : N_p > 0}. All three are
+// additive over the columns, so moving a signature set between sorts
+// updates them in O(popcount) — only the set's own columns change.
+type Moments struct {
+	Sum, SumSq, Live int64
+}
+
+// MomentsOf computes the moments of a count vector in O(|P|).
+func MomentsOf(counts []int64) Moments {
+	var m Moments
+	for _, c := range counts {
+		m = m.Move(0, c)
+	}
+	return m
+}
+
+// Move returns m with one column's count changed from old to nw.
+func (m Moments) Move(old, nw int64) Moments {
+	m.Sum += nw - old
+	m.SumSq += nw*nw - old*old
+	if old > 0 {
+		m.Live--
+	}
+	if nw > 0 {
+		m.Live++
+	}
+	return m
+}
+
 // CountsFunc is implemented by measures whose value on any view is a
-// function of the view's per-property subject counts N_p and subject
-// count |S| alone — true of the closed forms σCov and σSim. It is the
-// contract behind delta-scoring in local search: moving one signature
-// set between candidate sorts updates running Σ counts in O(|P|), so a
+// function of the moments of the view's per-property subject counts N_p
+// and of its subject count |S| alone — true of the closed forms σCov and
+// σSim and of compiled one-variable rules. It is the contract behind
+// delta-scoring in local search: moving one signature set between
+// candidate sorts updates the running moments in O(popcount), so a
 // candidate move is scored without materializing a subset view.
 type CountsFunc interface {
 	Func
-	// EvalCounts computes σ of a (sub-)dataset from its per-property
-	// subject counts and its subject count. It must agree exactly with
-	// Eval on the corresponding view. The counts slice is read-only.
-	EvalCounts(propCounts []int64, subjects int64) Ratio
+	// EvalMoments computes σ of a (sub-)dataset from the moments of its
+	// per-property subject counts and its subject count. It must agree
+	// exactly with Eval on the corresponding view.
+	EvalMoments(m Moments, subjects int64) Ratio
 }
 
 // closedFunc wraps a closed-form evaluator.
@@ -275,16 +308,9 @@ type covFunc struct{}
 func (covFunc) Name() string                       { return "Cov" }
 func (covFunc) Eval(v *matrix.View) (Ratio, error) { return Coverage(v), nil }
 
-// EvalCounts mirrors Coverage: ones / (|S|·used) over the used columns.
-func (covFunc) EvalCounts(propCounts []int64, subjects int64) Ratio {
-	var ones, used int64
-	for _, c := range propCounts {
-		if c > 0 {
-			used++
-			ones += c
-		}
-	}
-	return NewRatio(ones, subjects*used)
+// EvalMoments mirrors Coverage: ones / (|S|·used) over the used columns.
+func (covFunc) EvalMoments(m Moments, subjects int64) Ratio {
+	return NewRatio(m.Sum, subjects*m.Live)
 }
 
 // simFunc is σSim with a counts-based incremental form.
@@ -293,14 +319,9 @@ type simFunc struct{}
 func (simFunc) Name() string                       { return "Sim" }
 func (simFunc) Eval(v *matrix.View) (Ratio, error) { return Similarity(v), nil }
 
-// EvalCounts mirrors Similarity: Σ N_p(N_p−1) / Σ N_p(|S|−1).
-func (simFunc) EvalCounts(propCounts []int64, subjects int64) Ratio {
-	var fav, tot int64
-	for _, np := range propCounts {
-		fav += np * (np - 1)
-		tot += np * (subjects - 1)
-	}
-	return NewRatio(fav, tot)
+// EvalMoments mirrors Similarity: Σ N_p(N_p−1) / Σ N_p(|S|−1).
+func (simFunc) EvalMoments(m Moments, subjects int64) Ratio {
+	return NewRatio(m.SumSq-m.Sum, m.Sum*(subjects-1))
 }
 
 // CovFunc returns σCov as a Func (closed form, counts-incremental).

@@ -283,12 +283,36 @@ func (c compiled1) kernel(propCounts []int64, subjects int64, column func(string
 }
 
 // compiled1Counts is a one-variable compiled rule without property
-// constants: a pure function of (N_p, |S|), i.e. a CountsFunc that
-// delta-scores in local search exactly like σCov and σSim.
+// constants: a CountsFunc that delta-scores in local search exactly like
+// σCov and σSim.
 type compiled1Counts struct{ compiled1 }
 
-func (c compiled1Counts) EvalCounts(propCounts []int64, subjects int64) Ratio {
-	return c.kernel(propCounts, subjects, func(string) (int, bool) { return 0, false })
+// EvalMoments sums the kernel's buckets in closed form. Without property
+// constants no atom can tell one column from another (the antecedent
+// pins none, and prop(c) = prop(c), c = c and subj(c) = subj(c) hold in
+// every bucket), so a bucket's truth depends on the cell value alone.
+// The value-1 buckets then weigh Σ N_p = Sum in total and the value-0
+// buckets Σ (|S| − N_p) = Live·|S| − Sum over the live columns — the
+// same integers the kernel adds up column by column.
+func (c compiled1Counts) EvalMoments(m Moments, subjects int64) Ratio {
+	var consts constResolver
+	lo, hi := valRange(c.dom)
+	var tot, fav int64
+	for a := lo; a <= hi; a++ {
+		w := m.Sum
+		if a == 0 {
+			w = m.Live*subjects - m.Sum
+		}
+		bk := bucket{b1: a == 1}
+		if !holdsBucket(c.r.Antecedent, c.vpos, &bk, &consts) {
+			continue
+		}
+		tot += w
+		if holdsBucket(c.r.Consequent, c.vpos, &bk, &consts) {
+			fav += w
+		}
+	}
+	return NewRatio(fav, tot)
 }
 
 // compiled1Pair is a one-variable compiled rule that mentions property

@@ -62,8 +62,8 @@ func TestCompiledRulesMatchGenericEvaluator(t *testing.T) {
 			// The aggregate-kernel entry points must agree with Eval too.
 			switch k := fn.(type) {
 			case CountsFunc:
-				if gc := k.EvalCounts(v.PropertyCounts(), int64(v.NumSubjects())); !sameRatio(want, gc) {
-					t.Fatalf("%q: EvalCounts=%v want %v", src, gc, want)
+				if gc := k.EvalMoments(MomentsOf(v.PropertyCounts()), int64(v.NumSubjects())); !sameRatio(got, gc) {
+					t.Fatalf("%q: EvalMoments=%v want Eval=%v", src, gc, got)
 				}
 			case PairCountsFunc:
 				gp := k.EvalPairCounts(v.PropertyCounts(), v.PairCounts(), int64(v.NumSubjects()))
@@ -73,6 +73,11 @@ func TestCompiledRulesMatchGenericEvaluator(t *testing.T) {
 			default:
 				t.Fatalf("%q: compiled to neither CountsFunc nor PairCountsFunc", src)
 			}
+		}
+		// Every 1-variable rule without property constants reads the
+		// counts only through their moments.
+		if _, isCounts := fn.(CountsFunc); isCounts != (len(r.Vars()) == 1 && len(collectPropConsts(r)) == 0) {
+			t.Fatalf("%q: CountsFunc = %v", src, isCounts)
 		}
 	}
 }

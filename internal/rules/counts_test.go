@@ -9,13 +9,14 @@ import (
 	"repro/internal/matrix"
 )
 
-// The counts-based incremental forms must agree exactly with the view
+// The moments-based incremental forms must agree exactly with the view
 // evaluators on arbitrary views — they are what delta-scoring in the
 // local search trusts.
 func TestQuickCountsFuncsMatchViewEval(t *testing.T) {
 	funcs := []CountsFunc{
 		CovFunc().(CountsFunc),
 		SimFunc().(CountsFunc),
+		FuncForRule(MustParse("val(c) = 0 -> val(c) = 1")).(CountsFunc),
 	}
 	f := func(seed int64, fnIdx uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -44,9 +45,9 @@ func TestQuickCountsFuncsMatchViewEval(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := fn.EvalCounts(v.PropertyCounts(), int64(v.NumSubjects()))
+		got := fn.EvalMoments(MomentsOf(v.PropertyCounts()), int64(v.NumSubjects()))
 		if want.Fav.Cmp(got.Fav) != 0 || want.Tot.Cmp(got.Tot) != 0 {
-			t.Logf("%s: Eval=%v EvalCounts=%v", fn.Name(), want, got)
+			t.Logf("%s: Eval=%v EvalMoments=%v", fn.Name(), want, got)
 			return false
 		}
 		return true

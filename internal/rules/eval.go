@@ -24,6 +24,15 @@ func (r Ratio) Value() float64 {
 	if r.Tot == nil || r.Tot.Sign() == 0 {
 		return 1
 	}
+	// Both terms exact in a float64: IEEE division is correctly rounded,
+	// so it returns the same float as the big.Rat conversion. A negative
+	// Tot stays on big.Rat, which normalizes the sign (no −0).
+	if r.Tot.IsInt64() && r.Fav.IsInt64() {
+		fav, tot := r.Fav.Int64(), r.Tot.Int64()
+		if tot > 0 && tot < 1<<53 && fav > -(1<<53) && fav < 1<<53 {
+			return float64(fav) / float64(tot)
+		}
+	}
 	f, _ := new(big.Rat).SetFrac(r.Fav, r.Tot).Float64()
 	return f
 }

@@ -55,7 +55,7 @@ type PairCountsFunc interface {
 // whose antecedent pins both variables' properties. Callers use it to
 // maintain only the demanded entries: the local-search engine tracks
 // one running count per demanded pair per sort, making relocation
-// moves under dependency measures O(|P|).
+// moves under dependency measures O(popcount) per candidate.
 type PairDemands interface {
 	// NeededPairs returns the property-name pairs EvalPairCounts may
 	// read, or nil when it may read arbitrary pairs.

@@ -71,11 +71,11 @@ func (t *CountTracker) Ones() int64 { return t.ones }
 // NumProps returns the number of tracked columns.
 func (t *CountTracker) NumProps() int { return len(t.counts) }
 
-// Eval computes σ of the live dataset under fn. Zero-count columns
-// contribute nothing to either closed form, so retired properties need
-// no compaction.
+// Eval computes σ of the live dataset under fn in O(|P|): it folds the
+// live counts into their moments, to which zero-count columns contribute
+// nothing, so retired properties need no compaction.
 func (t *CountTracker) Eval(fn CountsFunc) Ratio {
-	return fn.EvalCounts(t.counts, t.subjects)
+	return fn.EvalMoments(MomentsOf(t.counts), t.subjects)
 }
 
 // Clone returns an independent copy (used to snapshot σ at the last
