@@ -110,39 +110,6 @@ func BenchmarkAblationClosedFormVsGeneric(b *testing.B) {
 	})
 }
 
-// Pseudo-Boolean propagation solver vs. LP-based branch & bound on the
-// same paper encoding.
-func BenchmarkAblationPBvsBnB(b *testing.B) {
-	v := datagen.DBpediaPersons(0.002)
-	// A reduced instance (top 5 signatures) keeps B&B's dense simplex
-	// within benchmark time; even here the propagation solver wins by
-	// three orders of magnitude.
-	idx := make([]int, 5)
-	for i := range idx {
-		idx[i] = i
-	}
-	small := v.Subset(idx)
-	p := &refine.Problem{View: small, Rule: rules.CovRule(), K: 2, Theta1: 60, Theta2: 100}
-	enc, err := refine.Encode(p, refine.EncodeOptions{SymmetryBreaking: true})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("pb", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if res := ilp.SolvePB(enc.Model, ilp.Options{}); res.Status != ilp.StatusFeasible {
-				b.Fatalf("status %v", res.Status)
-			}
-		}
-	})
-	b.Run("bnb", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if res := ilp.SolveBnB(enc.Model, ilp.Options{}); res.Status != ilp.StatusFeasible {
-				b.Fatalf("status %v", res.Status)
-			}
-		}
-	})
-}
-
 // Symmetry-breaking hash constraints on vs. off (Section 6.3).
 func BenchmarkAblationSymmetryBreaking(b *testing.B) {
 	// An infeasible instance: infeasibility proofs traverse the whole

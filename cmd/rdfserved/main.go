@@ -12,13 +12,19 @@
 // Usage:
 //
 //	rdfserved -addr :8077
-//	rdfserved -addr :8077 -shards 8 -in persons.nt -auto-refine -fn cov -theta 0.9
+//	rdfserved -addr :8077 -shards 8 -in persons.nt -auto-refine 'fn=cov&mode=lowestk&theta=0.9'
 //	rdfserved -addr :8077 -shards 4 -data-dir /var/lib/rdfserved -fsync 10ms
 //
 // With -data-dir every applied batch is written to a per-shard
 // write-ahead log and the engine state is checkpointed periodically;
 // after a crash the process replays the directory and resumes exactly
 // where acknowledged ingestion left off (see internal/wal).
+//
+// With -auto-refine '<query>' the server keeps the /refine cache entry
+// for that query (same parameters and validation as GET /refine) fresh:
+// after each write that moves σ by 0.01 or more, a background search
+// recomputes it, GET /stats reports it under "refinement", and
+// GET /refine with the same query is answered from the cache.
 //
 // Endpoints:
 //
@@ -29,9 +35,9 @@
 //	GET  /metrics          (Prometheus text; disable with -metrics=false)
 //	GET  /debug/pprof/*    (only with -pprof)
 //
-// On SIGINT/SIGTERM the server shuts down gracefully: in-flight
-// requests drain, any running background auto-refine search is
-// cancelled, and the listener closes.
+// On SIGINT/SIGTERM the server shuts down gracefully: every running
+// background search (auto-refine and stale-while-revalidate) is
+// cancelled, in-flight requests drain, and the listener closes.
 package main
 
 import (
@@ -40,6 +46,7 @@ import (
 	"fmt"
 	"log"
 	"net/http"
+	"net/url"
 	"os"
 	"os/signal"
 	"path/filepath"
@@ -48,12 +55,10 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/incr"
 	"repro/internal/metrics"
 	"repro/internal/protect"
 	"repro/internal/rdf"
-	"repro/internal/refine"
 	"repro/internal/serve"
 	"repro/internal/wal"
 )
@@ -65,13 +70,7 @@ func main() {
 	keepSubjects := flag.Bool("keep-subjects", false, "retain subject URIs per signature in snapshots")
 	noPairCounts := flag.Bool("no-pair-counts", false, "disable the O(|P|²) live pair-count tracker; dep/symdep reads fall back to snapshot evaluation")
 	ignore := flag.String("ignore", "", "comma-separated predicate URIs to exclude from the view (rdf:type always is)")
-	autoRefine := flag.Bool("auto-refine", false, "re-refine in the background when σ drifts")
-	fnName := flag.String("fn", "cov", "measure for auto-refinement: cov, sim, dep[p1,p2], symdep[p1,p2]")
-	mode := flag.String("mode", "lowestk", "auto-refinement strategy: lowestk or highesttheta")
-	theta := flag.Float64("theta", 0.9, "threshold for lowestk auto-refinement")
-	k := flag.Int("k", 2, "sort budget for highesttheta auto-refinement")
-	drift := flag.Float64("drift", 0.01, "σ-drift threshold that triggers auto-refinement")
-	workers := flag.Int("workers", 0, "refinement parallelism for the auto-refiner (0 = all cores)")
+	autoRefine := flag.String("auto-refine", "", "a /refine query string (e.g. 'fn=cov&mode=lowestk&theta=0.9') whose cached result is recomputed in the background when σ drifts by 0.01")
 	maxBodyMB := flag.Int64("max-body-mb", 64, "request body cap in MiB")
 	shutdownTimeout := flag.Duration("shutdown-timeout", 10*time.Second, "graceful-shutdown drain budget")
 	dataDir := flag.String("data-dir", "", "durability directory (write-ahead log + checkpoints); empty = in-memory only")
@@ -107,6 +106,23 @@ func main() {
 	writeTimeout := flag.Duration("write-timeout", 2*time.Minute, "http.Server WriteTimeout")
 	idleTimeout := flag.Duration("idle-timeout", 2*time.Minute, "http.Server IdleTimeout for keep-alive connections")
 	flag.Parse()
+
+	// The auto-refine query is validated before anything is loaded: a
+	// query GET /refine would reject with 400 stops the process here.
+	var autoParams *serve.RefineParams
+	if *autoRefine != "" {
+		q, err := url.ParseQuery(*autoRefine)
+		if err == nil {
+			autoParams, err = serve.ParseRefineQuery(q)
+		}
+		if err == nil && *refineCache < 0 {
+			err = fmt.Errorf("needs the /refine cache (-refine-cache >= 0)")
+		}
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "rdfserved: -auto-refine: %v\n", err)
+			os.Exit(1)
+		}
+	}
 
 	var opts incr.Options
 	opts.KeepSubjects = *keepSubjects
@@ -189,10 +205,6 @@ func main() {
 			*in, st.Triples, st.Subjects, st.Signatures)
 	}
 
-	// cancelRefine aborts in-flight background auto-refine searches on
-	// shutdown, so the process never sits out a long local search after
-	// the listener has closed.
-	cancelRefine := make(chan struct{})
 	srvOpts := serve.Options{
 		MaxBodyBytes:    *maxBodyMB << 20,
 		Metrics:         reg,
@@ -203,6 +215,7 @@ func main() {
 		SigmaCacheSize:  *sigmaCache,
 		RefineCacheSize: *refineCache,
 		RefineSWR:       *refineSWR,
+		AutoRefine:      autoParams,
 		ClusterWorker:   *clusterWorker,
 		RateLimit: protect.NewRateLimiter(protect.RateLimitConfig{
 			RPS: *rateLimit, Burst: *rateLimitBurst, MaxClients: *rateLimitClients,
@@ -218,33 +231,10 @@ func main() {
 		srvOpts.Backlog = store
 		srvOpts.MaxBacklogBytes = *maxBacklogMB << 20
 	}
-	if *autoRefine {
-		fn, rule, err := core.Builtin(*fnName)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "rdfserved:", err)
-			os.Exit(1)
-		}
-		ropts := incr.RefinerOptions{
-			Fn: fn, Rule: rule, Drift: *drift,
-			Search: refine.SearchOptions{Workers: *workers, Cancel: cancelRefine},
-		}
-		switch *mode {
-		case "lowestk":
-			ropts.Mode = incr.ModeLowestK
-			ropts.Theta1, ropts.Theta2 = int64(*theta*1000+0.5), 1000
-		case "highesttheta":
-			ropts.Mode = incr.ModeHighestTheta
-			ropts.K = *k
-		default:
-			fmt.Fprintf(os.Stderr, "rdfserved: unknown mode %q\n", *mode)
-			os.Exit(1)
-		}
-		srvOpts.Refiner = incr.NewRefiner(d, ropts)
-	}
-
+	handler := serve.New(d, srvOpts)
 	srv := &http.Server{
 		Addr:              *addr,
-		Handler:           serve.New(d, srvOpts),
+		Handler:           handler,
 		ReadHeaderTimeout: *readHeaderTimeout,
 		ReadTimeout:       *readTimeout,
 		WriteTimeout:      *writeTimeout,
@@ -269,7 +259,9 @@ func main() {
 	}
 	stop() // restore default signal behavior: a second signal kills immediately
 	log.Printf("rdfserved: signal received, draining (budget %s)", *shutdownTimeout)
-	close(cancelRefine)
+	// Background searches would otherwise run on through the drain and
+	// the final checkpoint.
+	handler.Close()
 	shCtx, cancel := context.WithTimeout(context.Background(), *shutdownTimeout)
 	defer cancel()
 	if err := srv.Shutdown(shCtx); err != nil {

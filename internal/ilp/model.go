@@ -2,15 +2,11 @@
 // paper delegates to IBM ILOG CPLEX. It contains a model builder, an
 // exact pseudo-Boolean feasibility solver (the paper's sort-refinement
 // encoding is a pure 0/1 feasibility system, for which propagation +
-// backtracking search is a complete decision procedure), a dense
-// two-phase primal simplex LP solver, and a branch-and-bound MILP
-// solver on top of the LP relaxation.
+// backtracking search is a complete decision procedure), and an LP
+// file writer for handing the same model to an external solver.
 package ilp
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Var identifies a model variable.
 type Var int
@@ -205,7 +201,6 @@ type Stats struct {
 	Decisions    int64
 	Propagations int64
 	Conflicts    int64
-	Nodes        int64 // branch-and-bound nodes
 	// TermScans counts the constraint terms PB propagation examined: a
 	// deterministic work measure for a given model and Options.
 	TermScans int64
@@ -220,12 +215,12 @@ type Result struct {
 
 // Options bounds solver effort.
 type Options struct {
-	// MaxDecisions limits PB decisions / B&B nodes; 0 means no limit.
+	// MaxDecisions limits PB decisions; 0 means no limit.
 	MaxDecisions int64
 	// MaxConflicts limits PB conflicts; 0 means no limit.
 	MaxConflicts int64
 	// Cancel aborts the solve with StatusUnknown when closed. The
-	// solvers poll it in their decision loops, so a racing portfolio can
+	// solver polls it in its decision loop, so a racing portfolio can
 	// stop a losing engine promptly instead of waiting for its budget.
 	Cancel <-chan struct{}
 }
@@ -242,6 +237,3 @@ func (o *Options) canceled() bool {
 		return false
 	}
 }
-
-// infinity for LP arithmetic.
-const inf = math.MaxFloat64

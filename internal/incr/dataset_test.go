@@ -9,7 +9,6 @@ import (
 	"repro/internal/datagen"
 	"repro/internal/matrix"
 	"repro/internal/rdf"
-	"repro/internal/refine"
 	"repro/internal/rules"
 )
 
@@ -294,77 +293,6 @@ func (d *Dataset) gTriples() []rdf.Triple {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
 	return d.g.Triples()
-}
-
-// TestRefinerDriftAndWarmStart checks the σ-drift policy and that
-// re-refinement is warm-started.
-func TestRefinerDriftAndWarmStart(t *testing.T) {
-	d := NewDataset(Options{})
-	var batch []rdf.Triple
-	for i := 0; i < 30; i++ {
-		s := fmt.Sprintf("http://ex/a%d", i)
-		batch = append(batch,
-			rdf.Triple{Subject: s, Predicate: "p", Object: rdf.NewURI("o")},
-			rdf.Triple{Subject: s, Predicate: "q", Object: rdf.NewURI("o")})
-	}
-	for i := 0; i < 30; i++ {
-		s := fmt.Sprintf("http://ex/b%d", i)
-		batch = append(batch,
-			rdf.Triple{Subject: s, Predicate: "r", Object: rdf.NewURI("o")},
-			rdf.Triple{Subject: s, Predicate: "t", Object: rdf.NewURI("o")})
-	}
-	d.Apply(batch, nil)
-
-	r := NewRefiner(d, RefinerOptions{
-		Fn: rules.CovFunc(), Mode: ModeLowestK, Theta1: 9, Theta2: 10,
-		Search: refine.SearchOptions{Engine: refine.EngineHeuristic, Workers: 1,
-			Heuristic: refine.HeuristicOptions{Seed: 1}},
-	})
-	res, ran, err := r.Refresh(false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ran || res == nil {
-		t.Fatal("first refresh did not run")
-	}
-	if res.Warm {
-		t.Fatal("first refresh claims warm start")
-	}
-	if res.Outcome.K != 2 {
-		t.Fatalf("lowest k = %d, want 2 (two clean sorts)", res.Outcome.K)
-	}
-
-	// No mutation → no refresh.
-	if _, ran, _ := r.Refresh(false); ran {
-		t.Fatal("refresh ran without mutation")
-	}
-	// A tiny mutation below the drift threshold → no refresh.
-	d.Apply([]rdf.Triple{{Subject: "http://ex/a0", Predicate: "p",
-		Object: rdf.NewURI("o2")}}, nil)
-	if _, ran, _ := r.Refresh(false); ran {
-		t.Fatal("refresh ran below drift threshold")
-	}
-	// A structural change (new ragged subjects) → drift triggers and the
-	// re-run is warm-started.
-	var churn []rdf.Triple
-	for i := 0; i < 20; i++ {
-		s := fmt.Sprintf("http://ex/c%d", i)
-		churn = append(churn, rdf.Triple{Subject: s, Predicate: "p", Object: rdf.NewURI("o")})
-	}
-	d.Apply(churn, nil)
-	res2, ran, err := r.Refresh(false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ran {
-		t.Fatal("refresh did not run after drift")
-	}
-	if !res2.Warm {
-		t.Fatal("re-refinement not warm-started")
-	}
-	if res2.Epoch == res.Epoch {
-		t.Fatal("result epoch not advanced")
-	}
 }
 
 // Disabling the pair tracker must route SigmaPairs callers to the

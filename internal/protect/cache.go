@@ -129,6 +129,20 @@ func (c *Cache) GetStale(key string) (val any, epoch uint64, ok bool) {
 	return val, entEpoch, true
 }
 
+// Peek returns whatever is cached under key with its epoch, like
+// GetStale, but as a bookkeeping read: it neither refreshes the entry's
+// LRU position nor counts toward the hit/miss/stale tallies.
+func (c *Cache) Peek(key string) (val any, epoch uint64, ok bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	e, found := c.byKey[key]
+	if !found {
+		return nil, 0, false
+	}
+	ent := e.Value.(*cacheEntry)
+	return ent.val, ent.epoch, true
+}
+
 // Put stores val under (key, epoch), replacing an older-epoch entry
 // and evicting the least recently used entry past the bound. A stored
 // entry at a newer epoch wins: a slow computation racing a fresh one

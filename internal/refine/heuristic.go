@@ -33,13 +33,6 @@ type HeuristicOptions struct {
 	// Cancel aborts the search when closed; the result is then reported
 	// as "no witness found" and must be discarded by the caller.
 	Cancel <-chan struct{}
-	// Warm, when it covers the view's signatures, replaces restart 0's
-	// seed with this assignment (labels folded into [0, k) by first
-	// appearance), warm-starting the search from a previous refinement —
-	// see WarmStart for mapping an assignment across dataset updates.
-	// Remaining restarts keep their usual seeds, so a stale warm seed
-	// degrades gracefully to the cold search.
-	Warm Assignment
 }
 
 func (o *HeuristicOptions) defaults() {
@@ -192,14 +185,12 @@ func runRestart(p *Problem, opts *HeuristicOptions, ge *groupEval, r int) restar
 	rng := rand.New(rand.NewSource(restartSeed(opts.Seed, r)))
 	var assign Assignment
 	var err error
-	switch {
-	case r == 0 && len(opts.Warm) == ge.view.NumSignatures():
-		assign = foldAssignment(opts.Warm, p.K)
-	case r%4 == 0:
+	switch r % 4 {
+	case 0:
 		assign, err = mergeSeed(ge, p.K)
-	case r%4 == 1:
+	case 1:
 		assign, err = greedySeed(ge, p.K)
-	case r%4 == 2:
+	case 2:
 		assign = profileSeed(ge.view, p.K, rng)
 	default:
 		assign = make(Assignment, ge.view.NumSignatures())

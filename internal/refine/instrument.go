@@ -6,7 +6,8 @@ import "repro/internal/metrics"
 // racing and early-exit skip restarts that never run; those are not
 // counted). Like rules.SignatureScans it is a process-wide counter: a
 // serving stack attaches it to its registry (Registry.AttachCounter)
-// so the background auto-refine work rate is visible in GET /metrics.
+// so the search work behind /refine — client requests and background
+// refreshes alike — is visible in GET /metrics.
 var restarts metrics.Counter
 
 // Restarts returns the cumulative number of local-search restarts run

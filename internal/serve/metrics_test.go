@@ -12,8 +12,6 @@ import (
 
 	"repro/internal/incr"
 	"repro/internal/metrics"
-	"repro/internal/refine"
-	"repro/internal/rules"
 )
 
 // TestMetricsEndToEnd drives a mixed workload through an instrumented
@@ -36,11 +34,7 @@ func TestMetricsEndToEnd(t *testing.T) {
 			logs = append(logs, fmt.Sprintf(format, args...))
 			logMu.Unlock()
 		},
-		Refiner: incr.NewRefiner(d, incr.RefinerOptions{
-			Fn: rules.CovFunc(), Mode: incr.ModeLowestK, Theta1: 9, Theta2: 10,
-			Search: refine.SearchOptions{Engine: refine.EngineHeuristic, Workers: 1,
-				Heuristic: refine.HeuristicOptions{Seed: 1}},
-		}),
+		AutoRefine: mustRefineQuery(t, testAutoQuery),
 	}
 	ts := httptest.NewServer(New(d, opts))
 	defer ts.Close()

@@ -12,11 +12,13 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"math"
 	"net/http"
 	"net/http/pprof"
 	"net/url"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -36,10 +38,14 @@ type Options struct {
 	// IngestBatch is the Apply batch size for streamed N-Triples bodies
 	// (default 10000 triples).
 	IngestBatch int
-	// Refiner, when set, is refreshed in the background after every
-	// mutating batch (single-flight; the σ-drift policy inside the
-	// refiner decides whether a search actually runs).
-	Refiner *incr.Refiner
+	// AutoRefine, when set, is the /refine query whose cache entry the
+	// server keeps fresh: after every effective write a background
+	// search re-runs it on the current snapshot (single-flight, at most
+	// one more queued) unless σ moved less than autoRefineDrift since the
+	// cached result. GET /stats reports that entry, and GET /refine with
+	// the same parameters is served from it. It needs the refine cache:
+	// with RefineCacheSize < 0 it is ignored.
+	AutoRefine *RefineParams
 	// Logf sinks background-refresh errors and slow-request lines
 	// (default log.Printf).
 	Logf func(format string, args ...interface{})
@@ -161,10 +167,21 @@ type Server struct {
 	opts Options
 	mux  *http.ServeMux
 	met  *serverMetrics
-	// refreshing is the single-flight latch for background refreshes;
+	// auto is Options.AutoRefine's search (nil when off); autoSearches
+	// counts the searches the background refresh actually ran.
+	auto         *refineParams
+	autoSearches atomic.Int64
+	// refreshing is the single-flight latch for auto-refine refreshes;
 	// refreshQueued remembers a batch that arrived mid-refresh.
 	refreshing    atomic.Bool
 	refreshQueued atomic.Bool
+	// bg is cancelled by Close to stop every background search; bgMu
+	// orders Close against goroutines starting, and bgWG tracks the
+	// running ones.
+	bg       context.Context
+	bgCancel context.CancelFunc
+	bgMu     sync.Mutex
+	bgWG     sync.WaitGroup
 	// sigmaCache / refineCache are the epoch-keyed response caches; nil
 	// when disabled.
 	sigmaCache  *protect.Cache
@@ -197,11 +214,15 @@ func New(d incr.Engine, opts Options) *Server {
 		opts.RefineCacheSize = 64
 	}
 	s := &Server{d: d, opts: opts, mux: http.NewServeMux()}
+	s.bg, s.bgCancel = context.WithCancel(context.Background())
 	if opts.SigmaCacheSize > 0 {
 		s.sigmaCache = protect.NewCache(opts.SigmaCacheSize)
 	}
 	if opts.RefineCacheSize > 0 {
 		s.refineCache = protect.NewCache(opts.RefineCacheSize)
+		if opts.AutoRefine != nil {
+			s.auto = &opts.AutoRefine.p
+		}
 	}
 	if reg := opts.Metrics; reg != nil {
 		s.met = &serverMetrics{
@@ -215,10 +236,10 @@ func New(d incr.Engine, opts Options) *Server {
 				"Requests slower than the -slow-request threshold, by endpoint.", "endpoint"),
 		}
 		// Refine staleness: how many epochs the live dataset has
-		// advanced past the snapshot the current refinement was computed
-		// on — the "is the background refiner keeping up" signal. With a
-		// refiner but no result yet, everything is stale (the full
-		// epoch); without a refiner the series reads 0.
+		// advanced past the snapshot the auto-refine entry was computed
+		// on — the "is the background refresh keeping up" signal. With
+		// no entry yet (or an evicted one), everything is stale (the full
+		// epoch); without auto-refine the series reads 0.
 		reg.GaugeFunc("rdf_refine_staleness_epochs",
 			"Epochs the live dataset is ahead of the last refinement's snapshot.",
 			s.refineStaleness)
@@ -275,23 +296,53 @@ func New(d incr.Engine, opts Options) *Server {
 		s.mux.HandleFunc("GET /debug/pprof/symbol", pprof.Symbol)
 		s.mux.HandleFunc("GET /debug/pprof/trace", pprof.Trace)
 	}
+	// A preloaded dataset gets its auto-refine entry without waiting for
+	// the first write.
+	s.kickAutoRefine()
 	return s
+}
+
+// Close cancels every background search — auto-refine refreshes and
+// stale-while-revalidate recomputes — and waits for them to return. A
+// cancelled search caches nothing. The handler keeps serving; later
+// writes and stale reads just start no background work.
+func (s *Server) Close() {
+	s.bgMu.Lock()
+	s.bgCancel()
+	s.bgMu.Unlock()
+	s.bgWG.Wait()
+}
+
+// goBackground runs f on a goroutine Close waits for, unless Close has
+// already run (then it reports false and f never runs).
+func (s *Server) goBackground(f func()) bool {
+	s.bgMu.Lock()
+	defer s.bgMu.Unlock()
+	if s.bg.Err() != nil {
+		return false
+	}
+	s.bgWG.Add(1)
+	go func() {
+		defer s.bgWG.Done()
+		f()
+	}()
+	return true
 }
 
 // refineStaleness is the rdf_refine_staleness_epochs gauge read.
 func (s *Server) refineStaleness() float64 {
-	if s.opts.Refiner == nil {
+	if s.auto == nil {
 		return 0
 	}
 	epoch := s.d.Epoch()
-	last := s.opts.Refiner.Last()
-	if last == nil {
+	_, at, ok := s.autoEntry()
+	if !ok {
 		return float64(epoch)
 	}
-	if epoch <= last.Epoch {
+	if epoch <= at {
 		return 0
 	}
-	return float64(epoch - last.Epoch)
+	return float64(epoch - at)
 }
 
 // handle mounts a handler, wrapped with per-endpoint instrumentation
@@ -644,7 +695,9 @@ func (s *Server) handleTriples(w http.ResponseWriter, r *http.Request) {
 		var err error
 		added, err = s.d.AddNTriplesCtx(ctx, body, s.opts.IngestBatch)
 		if err != nil {
-			s.kickRefiner()
+			if added > 0 {
+				s.kickAutoRefine()
+			}
 			durable, _ := s.awaitDurable(ctx)
 			status := http.StatusBadRequest
 			msg := fmt.Sprintf("stream aborted: %v (triples before the error were applied)", err)
@@ -666,7 +719,9 @@ func (s *Server) handleTriples(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	s.kickRefiner()
+	if added+removed > 0 {
+		s.kickAutoRefine()
+	}
 	durable, err := s.awaitDurable(ctx)
 	if err != nil {
 		if isCtxErr(err) {
@@ -688,14 +743,14 @@ func (s *Server) handleTriples(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, ingestResponse{Added: added, Removed: removed, Durable: durable, Stats: s.d.Stats()})
 }
 
-// kickRefiner triggers a background drift-policy refresh, coalescing
+// kickAutoRefine triggers a background auto-refine refresh, coalescing
 // bursts: one refresh runs at a time, and a batch landing mid-refresh
 // queues exactly one more pass. The queued flag is raised before the
 // single-flight latch is tried, so a kick racing a worker's exit is
 // never lost — either the worker's drain loop or its exit re-check
 // observes it, or this kick's own latch attempt succeeds.
-func (s *Server) kickRefiner() {
-	if s.opts.Refiner == nil {
+func (s *Server) kickAutoRefine() {
+	if s.auto == nil {
 		return
 	}
 	s.refreshQueued.Store(true)
@@ -706,10 +761,10 @@ func (s *Server) tryStartRefresh() {
 	if !s.refreshing.CompareAndSwap(false, true) {
 		return
 	}
-	go func() {
-		for s.refreshQueued.CompareAndSwap(true, false) {
-			if _, _, err := s.opts.Refiner.Refresh(false); err != nil {
-				s.opts.Logf("rdfserved: background refine: %v", err)
+	started := s.goBackground(func() {
+		for s.bg.Err() == nil && s.refreshQueued.CompareAndSwap(true, false) {
+			if err := s.refreshAuto(); err != nil {
+				s.opts.Logf("rdfserved: background refine %s: %v", s.auto.key, err)
 			}
 		}
 		s.refreshing.Store(false)
@@ -718,7 +773,105 @@ func (s *Server) tryStartRefresh() {
 		if s.refreshQueued.Load() {
 			s.tryStartRefresh()
 		}
-	}()
+	})
+	if !started {
+		s.refreshing.Store(false)
+	}
+}
+
+// autoRefineDrift is the σ drift below which a write does not re-run
+// the auto-refine search: the paper's θ grid granularity.
+const autoRefineDrift = 0.01
+
+// refreshAuto is one auto-refine pass: when the cached entry is stale,
+// search the current snapshot and cache the result under its epoch.
+func (s *Server) refreshAuto() error {
+	if stale, err := s.autoStale(); err != nil || !stale {
+		return err
+	}
+	snap := s.d.Snapshot()
+	if snap.View.NumSignatures() == 0 {
+		return nil
+	}
+	s.autoSearches.Add(1)
+	return s.searchAndCache(s.auto, snap)
+}
+
+// autoEntry returns the auto-refine cache entry and its epoch without
+// touching the cache's LRU order or client-facing tallies.
+func (s *Server) autoEntry() (*cachedRefine, uint64, bool) {
+	v, epoch, ok := s.refineCache.Peek(s.auto.key)
+	if !ok {
+		return nil, 0, false
+	}
+	return v.(*cachedRefine), epoch, true
+}
+
+// autoStale reports whether the auto-refine entry no longer stands for
+// the live dataset: it is missing (never computed, or evicted), or it
+// is from an older epoch and σ has since moved by autoRefineDrift or
+// more.
+func (s *Server) autoStale() (bool, error) {
+	cr, epoch, ok := s.autoEntry()
+	if !ok {
+		return true, nil
+	}
+	if epoch >= s.d.Epoch() {
+		return false, nil
+	}
+	now, err := s.sigmaNow(s.auto.fn)
+	if err != nil {
+		return false, err
+	}
+	return math.Abs(now-cr.sigma) >= autoRefineDrift, nil
+}
+
+// sigmaNow is the live σ under fn: the engine's closed forms when fn
+// has one (and the pair tracker is on), else a snapshot evaluation.
+func (s *Server) sigmaNow(fn rules.Func) (float64, error) {
+	ratio, _, live := s.d.SigmaStats(fn)
+	if !live {
+		var err error
+		if ratio, err = fn.Eval(s.d.Snapshot().View); err != nil {
+			return 0, err
+		}
+	}
+	return ratio.Value(), nil
+}
+
+// searchAndCache is a background search: run p on snap under the Close
+// cancel and cache the result. A cancelled search returns its
+// best-so-far, which is not the answer for the epoch and is dropped —
+// the background twin of the inline path's r.Context().Err() check.
+func (s *Server) searchAndCache(p *refineParams, snap *incr.Snapshot) error {
+	bg := *p
+	bg.opts.Cancel = s.bg.Done()
+	out, err := bg.run(snap)
+	if s.bg.Err() != nil {
+		return nil
+	}
+	if err != nil {
+		return err
+	}
+	resp := refineResponse(snap, p.fn.Name(), p.mode, out)
+	s.putRefine(p, snap, resp, marshalBody(resp))
+	return nil
+}
+
+// putRefine caches a rendered /refine result under its snapshot epoch.
+// An entry under the auto-refine key also records σ at that snapshot,
+// the reference point of the drift check.
+func (s *Server) putRefine(p *refineParams, snap *incr.Snapshot, resp map[string]interface{}, body []byte) {
+	cr := &cachedRefine{body: body, resp: resp}
+	if s.auto != nil && p.key == s.auto.key {
+		sigma, err := p.fn.Eval(snap.View)
+		if err != nil {
+			s.opts.Logf("rdfserved: refine %s: σ at epoch %d: %v", p.key, snap.Epoch, err)
+			return
+		}
+		cr.sigma = sigma.Value()
+	}
+	s.refineCache.Put(p.key, snap.Epoch, cr)
 }
 
 // sigmaRetryAfterSeconds is the poll hint returned with the
@@ -893,19 +1046,26 @@ func parseRefineParams(q url.Values) (*refineParams, error) {
 	case "highesttheta":
 		p.k = 2
 		if v := q.Get("k"); v != "" {
+			// The search allocates per sort, so k is bounded like the
+			// other cost knobs above.
 			p.k, err = strconv.Atoi(v)
-			if err != nil || p.k < 1 {
-				return nil, fmt.Errorf("bad k %q", v)
+			if err != nil || p.k < 1 || p.k > maxRefineK {
+				return nil, fmt.Errorf("bad k %q (want 1..%d)", v, maxRefineK)
 			}
 		}
 	default:
 		return nil, fmt.Errorf("unknown mode %q (lowestk|highesttheta)", p.mode)
 	}
-	p.key = fmt.Sprintf("%s|%s|%d/%d|%d|%d|%d|%d|%d",
-		fn.Name(), p.mode, p.theta1, p.theta2, p.k, p.opts.Workers, p.opts.Engine,
+	// Workers is left out of the key: outcomes are worker-invariant, so
+	// one entry serves every worker count.
+	p.key = fmt.Sprintf("%s|%s|%d/%d|%d|%d|%d|%d",
+		fn.Name(), p.mode, p.theta1, p.theta2, p.k, p.opts.Engine,
 		p.opts.Heuristic.Restarts, p.opts.Heuristic.MaxIters)
 	return p, nil
 }
+
+// maxRefineK bounds the highesttheta sort budget.
+const maxRefineK = 1000
 
 // run executes the search against a snapshot. Snapshots are immutable,
 // so the outcome is a pure function of (snapshot epoch, params) — what
@@ -919,9 +1079,12 @@ func (p *refineParams) run(snap *incr.Snapshot) (*refine.Outcome, error) {
 
 // cachedRefine is one cached /refine result: the rendered body for
 // exact-epoch hits plus the response map stale serves copy and flag.
+// sigma is σ at the result's snapshot, recorded for the auto-refine key
+// only.
 type cachedRefine struct {
-	body []byte
-	resp map[string]interface{}
+	body  []byte
+	resp  map[string]interface{}
+	sigma float64
 }
 
 // handleRefine answers GET /refine. Results are cached keyed by
@@ -951,8 +1114,9 @@ func (s *Server) handleRefine(w http.ResponseWriter, r *http.Request) {
 		if s.opts.RefineSWR {
 			if v, _, ok := s.refineCache.GetStale(p.key); ok {
 				cr := v.(*cachedRefine)
-				if s.refineCache.BeginRefresh(p.key, snap.Epoch) {
-					go s.revalidateRefine(p, snap)
+				if s.refineCache.BeginRefresh(p.key, snap.Epoch) &&
+					!s.goBackground(func() { s.revalidateRefine(p, snap) }) {
+					s.refineCache.EndRefresh(p.key)
 				}
 				// Shallow copy before flagging: the cached map may be
 				// serving other requests concurrently.
@@ -988,7 +1152,7 @@ func (s *Server) handleRefine(w http.ResponseWriter, r *http.Request) {
 		// A live context certifies the search ran to completion — a
 		// cancelled search returns its best-so-far, which must not be
 		// cached as the answer for this epoch.
-		s.refineCache.Put(p.key, snap.Epoch, &cachedRefine{body: body, resp: resp})
+		s.putRefine(p, snap, resp, body)
 	}
 	writeBody(w, verdict, body)
 }
@@ -999,13 +1163,9 @@ func (s *Server) handleRefine(w http.ResponseWriter, r *http.Request) {
 // latch (the caller holds it; released here).
 func (s *Server) revalidateRefine(p *refineParams, snap *incr.Snapshot) {
 	defer s.refineCache.EndRefresh(p.key)
-	out, err := p.run(snap)
-	if err != nil {
+	if err := s.searchAndCache(p, snap); err != nil {
 		s.opts.Logf("rdfserved: background revalidate %s: %v", p.key, err)
-		return
 	}
-	resp := refineResponse(snap, p.fn.Name(), p.mode, out)
-	s.refineCache.Put(p.key, snap.Epoch, &cachedRefine{body: marshalBody(resp), resp: resp})
 }
 
 // parseTheta converts a decimal threshold ("0.9", default) to an exact
@@ -1140,20 +1300,20 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			"maxBytes":     s.opts.MaxBacklogBytes,
 		}
 	}
-	if ref := s.opts.Refiner; ref != nil {
-		if last := ref.Last(); last != nil {
-			resp["refinement"] = map[string]interface{}{
-				"epoch":     last.Epoch,
-				"sigma":     last.Sigma,
-				"k":         last.Outcome.K,
-				"theta":     float64(last.Outcome.Theta1) / float64(last.Outcome.Theta2),
-				"minSigma":  last.Outcome.Refinement.MinSigma,
-				"warm":      last.Warm,
-				"elapsedMs": last.Outcome.Elapsed.Milliseconds(),
+	if s.auto != nil {
+		if cr, epoch, ok := s.autoEntry(); ok {
+			ref := map[string]interface{}{
+				"epoch":    epoch,
+				"sigma":    cr.sigma,
+				"searches": s.autoSearches.Load(),
 			}
+			for _, k := range []string{"k", "theta", "minSigma", "elapsedMs"} {
+				ref[k] = cr.resp[k]
+			}
+			resp["refinement"] = ref
 		}
-		if need, err := ref.NeedsRefresh(); err == nil {
-			resp["refineStale"] = need
+		if stale, err := s.autoStale(); err == nil {
+			resp["refineStale"] = stale
 		}
 	}
 	writeJSON(w, http.StatusOK, resp)

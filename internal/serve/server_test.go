@@ -5,35 +5,48 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/incr"
-	"repro/internal/refine"
 	"repro/internal/rules"
 )
 
-func newTestServer(t *testing.T, refiner bool) (*httptest.Server, *incr.Dataset) {
+func newTestServer(t *testing.T, autoRefine bool) (*httptest.Server, *incr.Dataset) {
 	t.Helper()
 	d := incr.NewDataset(incr.Options{})
-	return newTestServerWith(t, d, refiner), d
+	return newTestServerWith(t, d, autoRefine), d
 }
 
-func newTestServerWith(t *testing.T, d incr.Engine, refiner bool) *httptest.Server {
+// testAutoQuery is the auto-refine query the serve tests keep fresh.
+const testAutoQuery = "fn=cov&mode=lowestk&theta=0.9&engine=heuristic&workers=1"
+
+func newTestServerWith(t *testing.T, d incr.Engine, autoRefine bool) *httptest.Server {
 	t.Helper()
 	opts := Options{Logf: t.Logf}
-	if refiner {
-		opts.Refiner = incr.NewRefiner(d, incr.RefinerOptions{
-			Fn: rules.CovFunc(), Mode: incr.ModeLowestK, Theta1: 9, Theta2: 10,
-			Search: refine.SearchOptions{Engine: refine.EngineHeuristic, Workers: 1,
-				Heuristic: refine.HeuristicOptions{Seed: 1}},
-		})
+	if autoRefine {
+		opts.AutoRefine = mustRefineQuery(t, testAutoQuery)
 	}
 	ts := httptest.NewServer(New(d, opts))
 	t.Cleanup(ts.Close)
 	return ts
+}
+
+// mustRefineQuery parses a /refine query string.
+func mustRefineQuery(t *testing.T, raw string) *RefineParams {
+	t.Helper()
+	q, err := url.ParseQuery(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rp, err := ParseRefineQuery(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rp
 }
 
 func getJSON(t *testing.T, url string, out interface{}) int {
@@ -236,8 +249,8 @@ func TestConcurrentSigmaDuringIngestion(t *testing.T) {
 	wg.Wait()
 }
 
-// TestBackgroundRefinerKicksIn checks the drift-policy auto-refresh
-// after ingestion, surfaced via /stats.
+// TestBackgroundRefinerKicksIn checks that a write starts the
+// auto-refine search and its result surfaces in /stats.
 func TestBackgroundRefinerKicksIn(t *testing.T) {
 	ts, _ := newTestServer(t, true)
 	var lines []string
