@@ -2,7 +2,6 @@ package repro
 
 import (
 	"fmt"
-	"runtime"
 	"testing"
 
 	"repro/internal/datagen"
@@ -134,31 +133,6 @@ func BenchmarkAblationSymmetryBreaking(b *testing.B) {
 				}
 				if ok {
 					b.Fatal("expected infeasible")
-				}
-			}
-		})
-	}
-}
-
-// Serial vs. parallel refinement engine on a Fig4a-class search: the
-// same HighestTheta sweep with Workers=1 (fully sequential) and
-// Workers=GOMAXPROCS (worker-pool restarts + portfolio racing +
-// speculative θ probes). Outcomes are bit-identical by construction
-// (asserted in internal/refine's determinism tests); this measures the
-// wall-clock gap, which on a multi-core runner should be ≥2×.
-func BenchmarkAblationParallelSearch(b *testing.B) {
-	v := datagen.DBpediaPersons(0.01)
-	for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			opts := refine.SearchOptions{
-				Heuristic: refine.HeuristicOptions{Restarts: 6, MaxIters: 150, Seed: 1},
-				Solver:    ilp.Options{MaxDecisions: 100_000},
-				Encode:    refine.EncodeOptions{SymmetryBreaking: true, MaxTVars: 2_500},
-				Workers:   workers,
-			}
-			for i := 0; i < b.N; i++ {
-				if _, err := refine.HighestTheta(v, rules.CovRule(), nil, 2, opts); err != nil {
-					b.Fatal(err)
 				}
 			}
 		})
@@ -314,7 +288,7 @@ func BenchmarkRefineDep(b *testing.B) {
 			b.ReportAllocs()
 			var scans int64
 			for i := 0; i < b.N; i++ {
-				n, err := experiments.RefineDepWorkload(v, mode.baseline, 1)
+				n, err := experiments.RefineDepWorkload(v, mode.baseline)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -339,7 +313,7 @@ func BenchmarkAblationDepRefineProps(b *testing.B) {
 			b.Run(fmt.Sprintf("props=%d/%s", nProps, mode.name), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					if _, err := experiments.RefineDepWorkload(v, mode.baseline, 1); err != nil {
+					if _, err := experiments.RefineDepWorkload(v, mode.baseline); err != nil {
 						b.Fatal(err)
 					}
 				}

@@ -178,20 +178,18 @@ func run() error {
 		return err
 	}
 
-	// --- Refine: the Fig4a-class search, sequential and parallel.
+	// --- Refine: the Fig4a-class search.
 	ref := meta("refine")
-	for _, workers := range []int{1, 0} {
-		name := fmt.Sprintf("refine/highesttheta/workers=%d", workers)
-		r, err := measure(name, 0, func() error {
-			_, err := experiments.RefineWorkload(*scale, workers)
-			return err
-		})
-		if err != nil {
-			return err
-		}
-		ref.Benchmarks = append(ref.Benchmarks, r)
-		fmt.Printf("%-34s %12.0f ns/op\n", name, r.NsPerOp)
+	const refineName = "refine/highesttheta/workers=1"
+	r, err := measure(refineName, 0, func() error {
+		_, err := experiments.RefineWorkload(*scale)
+		return err
+	})
+	if err != nil {
+		return err
 	}
+	ref.Benchmarks = append(ref.Benchmarks, r)
+	fmt.Printf("%-34s %12.0f ns/op\n", refineName, r.NsPerOp)
 	if err := writeArtifact(filepath.Join(*outDir, "BENCH_refine.json"), ref); err != nil {
 		return err
 	}
@@ -226,7 +224,7 @@ func run() error {
 		i := i
 		baseline := baseline
 		r, err := measure(name, 0, func() error {
-			n, err := experiments.RefineDepWorkload(depView, baseline, 1)
+			n, err := experiments.RefineDepWorkload(depView, baseline)
 			scans[i] = n
 			return err
 		})

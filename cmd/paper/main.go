@@ -25,7 +25,6 @@ func main() {
 	scale := flag.Float64("scale", 0.01, "dataset scale in (0,1]")
 	seed := flag.Int64("seed", 1, "random seed")
 	quick := flag.Bool("quick", false, "reduced search budgets")
-	workers := flag.Int("workers", 0, "refinement-engine parallelism (0 = all cores, 1 = sequential; results are identical)")
 	flag.Parse()
 
 	if *list {
@@ -35,7 +34,7 @@ func main() {
 		return
 	}
 
-	cfg := experiments.Config{Scale: *scale, Seed: *seed, Quick: *quick, Workers: *workers}
+	cfg := experiments.Config{Scale: *scale, Seed: *seed, Quick: *quick}
 	run := func(r experiments.Runner) {
 		start := time.Now()
 		rep, err := r.Run(cfg)

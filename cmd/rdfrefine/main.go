@@ -34,7 +34,7 @@ func main() {
 	theta := flag.Float64("theta", 0, "fixed threshold: find the lowest k (paper setting 2)")
 	engine := flag.String("engine", "auto", "solver engine: auto, exact, heuristic")
 	budget := flag.Int64("budget", 500000, "exact-solver decision budget")
-	workers := flag.Int("workers", 0, "refinement-engine parallelism (0 = all cores, 1 = sequential; results are identical)")
+	flag.Int("workers", 0, "ignored; the search is sequential")
 	renderRows := flag.Int("rows", 0, "render the resulting sorts with this many rows (0 = off)")
 	dumpLP := flag.String("dumplp", "", "write the paper's ILP encoding (at -k and -theta) to this file in CPLEX LP format and exit")
 	flag.Parse()
@@ -89,9 +89,8 @@ func main() {
 	}
 
 	opts := refine.SearchOptions{
-		Solver:  ilp.Options{MaxDecisions: *budget},
-		Encode:  refine.EncodeOptions{SymmetryBreaking: true},
-		Workers: *workers,
+		Solver: ilp.Options{MaxDecisions: *budget},
+		Encode: refine.EncodeOptions{SymmetryBreaking: true},
 	}
 	switch *engine {
 	case "auto":

@@ -30,7 +30,7 @@
 //
 //	POST /triples   {"add": ["<s> <p> <o> ."], "remove": [...]}  (or a raw N-Triples body)
 //	GET  /sigma?fn=cov|sim|dep[p1,p2]|symdep[p1,p2]
-//	GET  /refine?fn=cov&mode=lowestk|highesttheta&theta=0.9&k=2&workers=0&engine=auto
+//	GET  /refine?fn=cov&mode=lowestk|highesttheta&theta=0.9&k=2&engine=auto
 //	GET  /stats
 //	GET  /metrics          (Prometheus text; disable with -metrics=false)
 //	GET  /debug/pprof/*    (only with -pprof)

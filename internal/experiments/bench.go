@@ -151,9 +151,9 @@ func IngestDurable(data []byte, batch int, fsync string) (int, error) {
 // RefineWorkload runs the Fig4a-class search (σCov highest-θ, k=2)
 // with quick budgets on a DBpedia Persons view — the refinement
 // trajectory benchmark behind BENCH_refine.json.
-func RefineWorkload(scale float64, workers int) (*refine.Outcome, error) {
+func RefineWorkload(scale float64) (*refine.Outcome, error) {
 	v := datagen.DBpediaPersons(scale)
-	opts := Config{Quick: true, Seed: 1, Workers: workers}.search()
+	opts := Config{Quick: true, Seed: 1}.search()
 	out, err := refine.HighestTheta(v, rules.CovRule(), nil, 2, opts)
 	if err != nil {
 		return nil, fmt.Errorf("refine workload: %w", err)
@@ -193,16 +193,14 @@ func DepEvalKernel(v *matrix.View) rules.Ratio {
 // kernels (baseline = false) or through the opaque scan-per-evaluation
 // baseline (baseline = true). It returns the signature scans consumed,
 // so callers can derive the scans-per-iteration ablation ratio.
-func RefineDepWorkload(v *matrix.View, baseline bool, workers int) (int64, error) {
+func RefineDepWorkload(v *matrix.View, baseline bool) (int64, error) {
 	fn := rules.DepFunc(DepBenchProps[0], DepBenchProps[1])
 	if baseline {
 		fn = Opaque(fn)
 	}
 	p := &refine.Problem{View: v, Func: fn, K: 3, Theta1: 99, Theta2: 100}
 	before := rules.SignatureScans()
-	_, _, err := refine.SolveHeuristic(p, refine.HeuristicOptions{
-		Restarts: 4, MaxIters: 30, Seed: 1, Workers: workers,
-	})
+	_, _, err := refine.SolveHeuristic(p, refine.HeuristicOptions{Restarts: 4, MaxIters: 30, Seed: 1})
 	if err != nil {
 		return 0, fmt.Errorf("refine dep workload: %w", err)
 	}

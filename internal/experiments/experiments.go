@@ -26,9 +26,6 @@ type Config struct {
 	Quick bool
 	// Engine overrides the solver selection (default auto).
 	Engine refine.Engine
-	// Workers sets the refinement engine's parallelism (0 = GOMAXPROCS,
-	// 1 = sequential). Outcomes are identical for every value.
-	Workers int
 }
 
 func (c Config) withDefaults() Config {
@@ -39,7 +36,7 @@ func (c Config) withDefaults() Config {
 }
 
 func (c Config) search() refine.SearchOptions {
-	opts := refine.SearchOptions{Engine: c.Engine, Workers: c.Workers}
+	opts := refine.SearchOptions{Engine: c.Engine}
 	if c.Quick {
 		opts.Heuristic = refine.HeuristicOptions{Restarts: 2, MaxIters: 40, Seed: c.Seed}
 		opts.Solver.MaxDecisions = 20_000

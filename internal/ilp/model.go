@@ -220,8 +220,8 @@ type Options struct {
 	// MaxConflicts limits PB conflicts; 0 means no limit.
 	MaxConflicts int64
 	// Cancel aborts the solve with StatusUnknown when closed. The
-	// solver polls it in its decision loop, so a racing portfolio can
-	// stop a losing engine promptly instead of waiting for its budget.
+	// solver polls it in its decision loop, so a cancelled search stops
+	// promptly instead of waiting for its budget.
 	Cancel <-chan struct{}
 }
 

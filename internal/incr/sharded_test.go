@@ -163,7 +163,7 @@ func TestShardCountInvariance(t *testing.T) {
 			// Quick fixed budgets: identical inputs give identical searches,
 			// which is all the invariance pin needs.
 			opts := refine.SearchOptions{
-				Engine: refine.EngineHeuristic, Workers: 1,
+				Engine:    refine.EngineHeuristic,
 				Heuristic: refine.HeuristicOptions{Seed: 7, Restarts: 2, MaxIters: 25},
 			}
 			var ref *refine.Outcome

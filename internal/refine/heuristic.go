@@ -3,8 +3,6 @@ package refine
 import (
 	"math/rand"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/bitset"
 	"repro/internal/matrix"
@@ -23,13 +21,6 @@ type HeuristicOptions struct {
 	// problem's threshold — the search drivers set this because any
 	// verified witness decides the feasibility instance.
 	TargetEarlyExit bool
-	// Workers is the number of restarts run concurrently (0 or 1 =
-	// sequential). Every restart derives its RNG stream from (Seed,
-	// restart index) alone and the winner is picked deterministically
-	// (first feasible restart index, else best score with the lowest
-	// index breaking ties), so the outcome is identical for every
-	// Workers value.
-	Workers int
 	// Cancel aborts the search when closed; the result is then reported
 	// as "no witness found" and must be discarded by the caller.
 	Cancel <-chan struct{}
@@ -54,9 +45,9 @@ type restartResult struct {
 
 // SolveHeuristic searches for an assignment maximizing the minimum
 // σ over non-empty sorts with at most p.K sorts, via greedy seeding
-// plus steepest-ascent relocation local search with restarts. Restarts
-// are independent and run concurrently across opts.Workers goroutines;
-// the result is deterministic and independent of the worker count.
+// plus steepest-ascent relocation local search with restarts. The
+// winner is the first feasible restart under TargetEarlyExit, else the
+// best score with the lowest restart index breaking ties.
 // Feasible answers are exactly verified witnesses; "not found" answers
 // carry no infeasibility proof (use SolveExact for that).
 func SolveHeuristic(p *Problem, opts HeuristicOptions) (*Refinement, bool, error) {
@@ -68,81 +59,17 @@ func SolveHeuristic(p *Problem, opts HeuristicOptions) (*Refinement, bool, error
 	v := p.View
 	ge := newGroupEval(fn, v)
 
-	n := opts.Restarts
-	results := make([]restartResult, n)
-	workers := opts.Workers
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for r := 0; r < n; r++ {
-			if canceled(opts.Cancel) {
-				break
-			}
-			results[r] = runRestart(p, &opts, ge, r)
-			if results[r].err != nil {
-				break
-			}
-			// A witness at index r decides the instance; later restarts
-			// could not win the deterministic pick.
-			if opts.TargetEarlyExit && results[r].feasible {
-				break
-			}
-		}
-	} else {
-		var next int64 = -1
-		// bestFeasible is the lowest restart index known to hold a
-		// witness; restarts above it are skipped (they cannot win).
-		bestFeasible := int64(n)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					r := int(atomic.AddInt64(&next, 1))
-					if r >= n {
-						return
-					}
-					if canceled(opts.Cancel) {
-						return
-					}
-					if opts.TargetEarlyExit && int64(r) > atomic.LoadInt64(&bestFeasible) {
-						continue
-					}
-					res := runRestart(p, &opts, ge, r)
-					results[r] = res
-					if opts.TargetEarlyExit && res.feasible {
-						for {
-							cur := atomic.LoadInt64(&bestFeasible)
-							if int64(r) >= cur || atomic.CompareAndSwapInt64(&bestFeasible, cur, int64(r)) {
-								break
-							}
-						}
-					}
-				}
-			}()
-		}
-		wg.Wait()
-	}
-
-	// Deterministic pick: the lowest feasible restart index wins (any
-	// witness decides the instance); otherwise the best score, with the
-	// lowest index breaking ties. Skipped or cancelled restarts have a
-	// nil assignment and never win.
 	var best Assignment
 	bestScore := score{min: -1}
-	for r := 0; r < n; r++ {
-		res := results[r]
+	for r := 0; r < opts.Restarts && !canceled(opts.Cancel); r++ {
+		res := runRestart(p, &opts, ge, r)
+		if res.err == ErrCanceled {
+			break
+		}
 		if res.err != nil {
-			if res.err == errCanceled {
-				continue
-			}
 			return nil, false, res.err
 		}
-		if res.assign == nil {
-			continue
-		}
+		// A witness decides the instance; later restarts could not win.
 		if opts.TargetEarlyExit && res.feasible {
 			best = res.assign
 			break
@@ -573,7 +500,7 @@ func (st *searchState) localSearch(maxIters int, cancel <-chan struct{}) error {
 	generic := st.aggs == nil
 	for iter := 0; iter < maxIters; iter++ {
 		if canceled(cancel) {
-			return errCanceled
+			return ErrCanceled
 		}
 		curSc := st.score()
 		bestSc := curSc

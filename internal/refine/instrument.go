@@ -2,8 +2,8 @@ package refine
 
 import "repro/internal/metrics"
 
-// restarts counts local-search restarts actually executed (portfolio
-// racing and early-exit skip restarts that never run; those are not
+// restarts counts local-search restarts actually executed (restarts
+// skipped by the witness early exit or by cancellation are not
 // counted). Like rules.SignatureScans it is a process-wide counter: a
 // serving stack attaches it to its registry (Registry.AttachCounter)
 // so the search work behind /refine — client requests and background

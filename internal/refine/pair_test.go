@@ -110,36 +110,12 @@ func TestPairModeScanReduction(t *testing.T) {
 	t.Logf("signature scans: baseline %d, pair mode %d (%.0f× fewer)", slow, fast, float64(slow)/float64(fast))
 }
 
-// Pair mode must stay deterministic across worker counts (run under
-// -race in CI).
-func TestPairModeWorkerDeterminism(t *testing.T) {
-	v := depView(t)
-	fn := rules.SymDepFunc(depP1, depP2)
-	var want Assignment
-	for _, workers := range []int{1, 4} {
-		p := &Problem{View: v, Func: fn, K: 3, Theta1: 90, Theta2: 100}
-		ref, _, err := SolveHeuristic(p, HeuristicOptions{Restarts: 8, MaxIters: 30, Seed: 11, Workers: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want == nil {
-			want = ref.Assignment
-			continue
-		}
-		for i := range want {
-			if ref.Assignment[i] != want[i] {
-				t.Fatalf("workers=%d diverges at signature %d", workers, i)
-			}
-		}
-	}
-}
-
 // HighestTheta under a dependency measure must agree end-to-end with
 // the generic baseline: same θ, same refinement.
 func TestHighestThetaDepMatchesBaseline(t *testing.T) {
 	v := depView(t)
 	fn := rules.DepFunc(depP2, depP1)
-	opts := SearchOptions{Engine: EngineHeuristic, Heuristic: HeuristicOptions{Restarts: 4, MaxIters: 25, Seed: 5}, Workers: 1}
+	opts := SearchOptions{Engine: EngineHeuristic, Heuristic: HeuristicOptions{Restarts: 4, MaxIters: 25, Seed: 5}}
 	outF, err := HighestTheta(v, nil, fn, 2, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -211,7 +187,7 @@ func TestMomentsModeBitIdenticalToGenericSearch(t *testing.T) {
 				}
 				same(t, what, refF, refS)
 			}
-			sopts := SearchOptions{Engine: EngineHeuristic, Heuristic: hopts, Workers: 1}
+			sopts := SearchOptions{Engine: EngineHeuristic, Heuristic: hopts}
 			outF, err := HighestTheta(vc.v, nil, fn, 2, sopts)
 			if err != nil {
 				t.Fatal(err)

@@ -135,14 +135,12 @@ func (p *Problem) EvalFunc() rules.Func {
 
 // Validate checks the problem is well-formed.
 //
-// No evaluator is rejected on Workers > 1: every measure the engine
-// can hold — closed forms, counts/pair-counts kernels, compiled rules,
-// and generic rules through the (optionally signature-parallel) rough
-// counter — is a pure, deterministic function of the view, so parallel
-// search needs no determinism guard. Measures that are neither
-// rules.CountsFunc nor rules.PairCountsFunc simply score groups
-// through subset views instead of delta-maintained aggregates; they
-// are slower, not unsafe.
+// Every measure the engine can hold — closed forms, counts/pair-counts
+// kernels, compiled rules and generic rules through the rough counter —
+// is a pure, deterministic function of the view, so no evaluator is
+// rejected. Measures that are neither rules.CountsFunc nor
+// rules.PairCountsFunc score groups through subset views instead of
+// delta-maintained aggregates; they are slower, not unsafe.
 func (p *Problem) Validate() error {
 	if p.View == nil {
 		return fmt.Errorf("refine: nil view")

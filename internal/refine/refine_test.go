@@ -240,7 +240,7 @@ func (c constFunc) Eval(*matrix.View) (rules.Ratio, error) {
 // ratio just under 72/100 (a false witness).
 func TestHighestThetaStartIsExactFloor(t *testing.T) {
 	v := aliveDeadView(t)
-	opts := SearchOptions{Engine: EngineHeuristic, Workers: 1}
+	opts := SearchOptions{Engine: EngineHeuristic}
 	for _, c := range []struct {
 		fn        constFunc
 		theta1    int64

@@ -1,9 +1,9 @@
 package refine
 
 import (
+	"errors"
 	"fmt"
 	"math/big"
-	"runtime"
 	"time"
 
 	"repro/internal/ilp"
@@ -44,18 +44,17 @@ type SearchOptions struct {
 	// the search walks down through feasible instances (fast witnesses)
 	// instead of up through infeasible ones (slow proofs).
 	Downward bool
-	// Workers sets the parallelism of the refinement engine: concurrent
-	// local-search restarts, exact-vs-heuristic portfolio racing in the
-	// auto engine, and speculative look-ahead probes in HighestTheta and
-	// the upward LowestK. 0 defaults to runtime.GOMAXPROCS(0); 1 forces
-	// the fully sequential engine. Outcomes are identical for every
-	// value — parallelism changes wall-clock only.
+	// Workers is ignored: the search is sequential. It remains so that
+	// callers setting it keep compiling.
 	Workers int
 	// Cancel aborts the search when closed. A cancelled search returns
-	// its best outcome so far with Exact = false; treat it as undecided.
+	// ErrCanceled and no outcome.
 	Cancel <-chan struct{}
 }
 
+// defaults fills unset budgets and threads Cancel into both engines.
+// Any verified witness decides a feasibility instance, so the local
+// search stops at the first one.
 func (o *SearchOptions) defaults() {
 	if o.ThetaStep == 0 {
 		o.ThetaStep = 100
@@ -63,14 +62,27 @@ func (o *SearchOptions) defaults() {
 	if o.Solver.MaxDecisions == 0 {
 		o.Solver.MaxDecisions = 2_000_000
 	}
+	o.Solver.Cancel = o.Cancel
+	o.Heuristic.Cancel = o.Cancel
+	o.Heuristic.TargetEarlyExit = true
 }
 
-// workers resolves the configured parallelism.
-func (o *SearchOptions) workers() int {
-	if o.Workers > 0 {
-		return o.Workers
+// ErrCanceled reports a search aborted through SearchOptions.Cancel.
+// A decision cut short proves nothing either way, so no outcome comes
+// with it.
+var ErrCanceled = errors.New("refine: search canceled")
+
+// canceled reports whether the channel is closed (nil = never).
+func canceled(ch <-chan struct{}) bool {
+	if ch == nil {
+		return false
 	}
-	return runtime.GOMAXPROCS(0)
+	select {
+	case <-ch:
+		return true
+	default:
+		return false
+	}
 }
 
 // Outcome describes one strategy run.
@@ -83,8 +95,6 @@ type Outcome struct {
 	// Elapsed is total wall-clock time across the search.
 	Elapsed time.Duration
 	// Instances counts feasibility instances solved during the search.
-	// Speculative probes discarded by the parallel engine are not
-	// counted, so the figure matches the sequential sweep exactly.
 	Instances int
 	// Exact reports whether every decision came from the exact engine.
 	Exact bool
@@ -93,71 +103,58 @@ type Outcome struct {
 // decide solves one feasibility instance with the selected engine.
 // proven reports whether the answer is certified: a feasible answer is
 // always proven (the witness is verified exactly); an infeasible answer
-// is proven only when the exact engine completed. The cancel channel
-// aborts the decision; a cancelled result must be discarded.
-func decide(p *Problem, opts *SearchOptions, cancel <-chan struct{}) probeResult {
+// is proven only when the exact engine completed. A decision started or
+// finished under a closed Cancel fails with ErrCanceled: the engines
+// cut short report "no witness", which must not pass for a verdict.
+func decide(p *Problem, opts *SearchOptions) (ref *Refinement, ok, proven bool, err error) {
+	if canceled(opts.Cancel) {
+		return nil, false, false, ErrCanceled
+	}
+	ref, ok, proven, err = runEngine(p, opts)
+	if canceled(opts.Cancel) {
+		return nil, false, false, ErrCanceled
+	}
+	return ref, ok, proven, err
+}
+
+// runEngine is decide without the cancellation guard.
+func runEngine(p *Problem, opts *SearchOptions) (ref *Refinement, ok, proven bool, err error) {
 	switch opts.Engine {
 	case EngineExact:
-		solver := opts.Solver
-		solver.Cancel = cancel
-		ref, ok, err := SolveExact(p, opts.Encode, solver)
+		ref, ok, err := SolveExact(p, opts.Encode, opts.Solver)
 		if err == ErrBudget || err == ErrTooLarge {
 			// Fall back to the heuristic: it can still certify feasibility
 			// (the witness is verified exactly) but not infeasibility.
-			ref, ok, err := SolveHeuristic(p, heuristicFor(opts, cancel))
-			return probeResult{ref: ref, ok: ok, proven: ok, err: err}
+			ref, ok, err := SolveHeuristic(p, opts.Heuristic)
+			return ref, ok, ok, err
 		}
-		return probeResult{ref: ref, ok: ok, proven: err == nil, err: err}
+		return ref, ok, err == nil, err
 	case EngineHeuristic:
-		ref, ok, err := SolveHeuristic(p, heuristicFor(opts, cancel))
-		return probeResult{ref: ref, ok: ok, proven: ok, err: err}
+		ref, ok, err := SolveHeuristic(p, opts.Heuristic)
+		return ref, ok, ok, err
 	default: // EngineAuto
 		// Witness-first: the local search certifies feasibility cheaply;
 		// the exact engine is only needed when no witness is found —
 		// either to recover one the heuristic missed or to prove
 		// infeasibility. This mirrors the paper's observation that
 		// infeasible instances dominate the cost of the θ sweep.
-		if !exactTractable(p) {
-			ref, ok, err := SolveHeuristic(p, heuristicFor(opts, cancel))
-			return probeResult{ref: ref, ok: ok, proven: ok, err: err}
-		}
-		if opts.workers() > 1 {
-			// Portfolio racing: both engines start at once and the loser
-			// is cancelled. Deterministically equivalent to the
-			// sequential order below (see raceAuto).
-			return raceAuto(p, opts, cancel)
-		}
-		ref, ok, err := SolveHeuristic(p, heuristicFor(opts, cancel))
-		if err != nil || ok {
-			return probeResult{ref: ref, ok: ok, proven: ok, err: err}
+		ref, ok, err := SolveHeuristic(p, opts.Heuristic)
+		if err != nil || ok || !exactTractable(p) {
+			return ref, ok, ok, err
 		}
 		encodeOpts := opts.Encode
 		if encodeOpts.MaxTVars == 0 {
 			encodeOpts.MaxTVars = 50_000
 		}
-		solver := opts.Solver
-		solver.Cancel = cancel
-		exRef, exOK, exErr := SolveExact(p, encodeOpts, solver)
+		exRef, exOK, exErr := SolveExact(p, encodeOpts, opts.Solver)
 		if exErr == ErrBudget || exErr == ErrTooLarge {
-			return probeResult{ref: ref, ok: false, proven: false} // undecided: report the heuristic's best
+			return ref, false, false, nil // undecided: report the heuristic's best
 		}
 		if exErr != nil {
-			return probeResult{err: exErr}
+			return nil, false, false, exErr
 		}
-		return probeResult{ref: exRef, ok: exOK, proven: true}
+		return exRef, exOK, true, nil
 	}
-}
-
-// heuristicFor derives the local-search options for one decision,
-// threading the search-level worker budget and cancellation through.
-func heuristicFor(opts *SearchOptions, cancel <-chan struct{}) HeuristicOptions {
-	h := opts.Heuristic
-	h.TargetEarlyExit = true
-	if h.Workers == 0 {
-		h.Workers = opts.workers()
-	}
-	h.Cancel = cancel
-	return h
 }
 
 // exactTractable pre-filters instances whose rough-assignment
@@ -186,10 +183,7 @@ func exactTractable(p *Problem) bool {
 // first experimental setting. Following Section 7, the sweep walks
 // upward from the dataset's own structuredness value (for which the
 // trivial one-sort refinement is a witness at k ≥ 1), because proving
-// infeasibility is far more expensive than finding a witness. With
-// Workers > 1 the next few θ values are probed speculatively on idle
-// workers; results above the first infeasible θ are discarded, so the
-// outcome is bit-identical to the sequential sweep.
+// infeasibility is far more expensive than finding a witness.
 func HighestTheta(view *matrix.View, rule *rules.Rule, fn rules.Func, k int, opts SearchOptions) (*Outcome, error) {
 	opts.defaults()
 	p := &Problem{View: view, Rule: rule, Func: fn, K: k}
@@ -224,34 +218,25 @@ func HighestTheta(view *matrix.View, rule *rules.Rule, fn rules.Func, k int, opt
 		Refinement: &Refinement{Assignment: identity, K: k, Values: values, MinSigma: min, Exact: true},
 		Theta1:     t1, Theta2: opts.ThetaStep, K: k, Exact: true,
 	}
-	steps := int(opts.ThetaStep - t1)
-	err = sweep(&opts, steps,
-		func(i int) *Problem {
-			return &Problem{View: view, Rule: rule, Func: evalFn, K: k,
-				Theta1: t1 + 1 + int64(i), Theta2: opts.ThetaStep}
-		},
-		func(r probeResult) bool { return r.err != nil || !r.ok },
-		func(i int, r probeResult) (bool, error) {
-			out.Instances++
-			if r.err != nil {
-				return true, r.err
+	for theta := t1 + 1; theta <= opts.ThetaStep; theta++ {
+		p := &Problem{View: view, Rule: rule, Func: evalFn, K: k, Theta1: theta, Theta2: opts.ThetaStep}
+		ref, ok, proven, err := decide(p, &opts)
+		if err != nil {
+			return nil, err
+		}
+		out.Instances++
+		if !ok {
+			// Infeasible (proven) or no witness found: stop at the last
+			// stored solution, as the paper does.
+			if !proven {
+				out.Exact = false
 			}
-			if !r.ok {
-				// Infeasible (proven) or no witness found: stop at the last
-				// stored solution, as the paper does.
-				if !r.proven {
-					out.Exact = false
-				}
-				return true, nil
-			}
-			out.Refinement = r.ref
-			out.Theta1 = t1 + 1 + int64(i)
-			return false, nil
-		})
-	out.Elapsed = time.Since(start)
-	if err != nil {
-		return nil, err
+			break
+		}
+		out.Refinement = ref
+		out.Theta1 = theta
 	}
+	out.Elapsed = time.Since(start)
 	return out, nil
 }
 
@@ -259,8 +244,7 @@ func HighestTheta(view *matrix.View, rule *rules.Rule, fn rules.Func, k int, opt
 // implicit sorts admitting a sort refinement — the paper's second
 // experimental setting. The search proceeds upward from k = 1 (the
 // paper chooses direction case by case; upward matches its DBpedia
-// runs); with Workers > 1 the next few k values are probed
-// speculatively, with results above the first feasible k discarded.
+// runs).
 func LowestK(view *matrix.View, rule *rules.Rule, fn rules.Func, theta1, theta2 int64, opts SearchOptions) (*Outcome, error) {
 	opts.defaults()
 	maxK := opts.MaxK
@@ -272,46 +256,34 @@ func LowestK(view *matrix.View, rule *rules.Rule, fn rules.Func, theta1, theta2 
 	}
 	start := time.Now()
 	out := &Outcome{Theta1: theta1, Theta2: theta2, Exact: true}
-	found := false
-	err := sweep(&opts, maxK,
-		func(i int) *Problem {
-			return &Problem{View: view, Rule: rule, Func: fn, K: i + 1, Theta1: theta1, Theta2: theta2}
-		},
-		func(r probeResult) bool { return r.err != nil || r.ok },
-		func(i int, r probeResult) (bool, error) {
-			out.Instances++
-			if r.err != nil {
-				return true, r.err
-			}
-			if r.ok {
-				out.Refinement = r.ref
-				out.K = i + 1
-				found = true
-				return true, nil
-			}
-			// An unproven "not found" is not an infeasibility proof; the
-			// reported lowest k is then only an upper bound.
-			if !r.proven {
-				out.Exact = false
-			}
-			return false, nil
-		})
+	for k := 1; k <= maxK; k++ {
+		p := &Problem{View: view, Rule: rule, Func: fn, K: k, Theta1: theta1, Theta2: theta2}
+		ref, ok, proven, err := decide(p, &opts)
+		if err != nil {
+			return nil, err
+		}
+		out.Instances++
+		if ok {
+			out.Refinement = ref
+			out.K = k
+			out.Elapsed = time.Since(start)
+			return out, nil
+		}
+		// An unproven "not found" is not an infeasibility proof; the
+		// reported lowest k is then only an upper bound.
+		if !proven {
+			out.Exact = false
+		}
+	}
 	out.Elapsed = time.Since(start)
-	if err != nil {
-		return nil, err
-	}
-	if !found {
-		return out, fmt.Errorf("refine: no refinement with θ=%d/%d within k ≤ %d", theta1, theta2, maxK)
-	}
-	return out, nil
+	return out, fmt.Errorf("refine: no refinement with θ=%d/%d within k ≤ %d", theta1, theta2, maxK)
 }
 
 // lowestKDownward walks k from the signature count (always feasible:
 // one sort per signature set has σ = 1 for every rule with vacuous or
 // full satisfaction on uniform sorts — verified before relying on it)
 // down to the last feasible k. The relabel shortcut couples each step
-// to the previous result, so the walk itself stays sequential; Workers
-// still parallelize each step's restarts and portfolio race.
+// to the previous result.
 func lowestKDownward(view *matrix.View, rule *rules.Rule, fn rules.Func, theta1, theta2 int64, opts SearchOptions, maxK int) (*Outcome, error) {
 	start := time.Now()
 	out := &Outcome{Theta1: theta1, Theta2: theta2, Exact: true}
@@ -319,18 +291,17 @@ func lowestKDownward(view *matrix.View, rule *rules.Rule, fn rules.Func, theta1,
 	lastK := 0
 	for k := maxK; k >= 1; k-- {
 		p := &Problem{View: view, Rule: rule, Func: fn, K: k, Theta1: theta1, Theta2: theta2}
-		r := decide(p, &opts, opts.Cancel)
-		out.Instances++
-		if r.err != nil {
-			return nil, r.err
+		ref, ok, proven, err := decide(p, &opts)
+		if err != nil {
+			return nil, err
 		}
-		if !r.ok {
-			if !r.proven {
+		out.Instances++
+		if !ok {
+			if !proven {
 				out.Exact = false
 			}
 			break
 		}
-		ref := r.ref
 		lastGood = ref
 		lastK = k
 		// Shortcut: if the found refinement uses fewer non-empty sorts

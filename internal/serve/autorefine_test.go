@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -226,8 +227,8 @@ func TestAutoRefineMatchesColdRefine(t *testing.T) {
 	}
 }
 
-// TestRefineCacheKeyIgnoresWorkers: outcomes are worker-invariant, so
-// two worker counts at one epoch share a cache entry.
+// TestRefineCacheKeyIgnoresWorkers: workers= is accepted and ignored,
+// so two worker counts at one epoch share a cache entry.
 func TestRefineCacheKeyIgnoresWorkers(t *testing.T) {
 	ts := newTestServerOpts(t, incr.NewDataset(incr.Options{}), Options{})
 	seedTriples(t, ts.URL, 12)
@@ -240,14 +241,38 @@ func TestRefineCacheKeyIgnoresWorkers(t *testing.T) {
 	}
 }
 
+// TestRefineCanceledRequestCachesNothing: a /refine whose client is
+// gone answers 503 from the cancelled search and caches nothing, so the
+// same query afterwards is a miss.
+func TestRefineCanceledRequestCachesNothing(t *testing.T) {
+	s := New(incr.NewDataset(incr.Options{}), Options{Logf: t.Logf})
+	ts := httptest.NewServer(s)
+	t.Cleanup(func() {
+		ts.Close()
+		s.Close()
+	})
+	seedTriples(t, ts.URL, 12)
+	const q = "/refine?fn=cov&mode=highesttheta&k=2"
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	w := httptest.NewRecorder()
+	s.handleRefine(w, httptest.NewRequest(http.MethodGet, q, nil).WithContext(ctx))
+	if w.Code != http.StatusServiceUnavailable {
+		t.Fatalf("cancelled /refine: status %d, want 503: %s", w.Code, w.Body)
+	}
+	if _, hdr, _ := get(t, ts.URL+q); hdr.Get("X-Cache") != "miss" {
+		t.Fatalf("after a cancelled search: X-Cache=%q, want miss", hdr.Get("X-Cache"))
+	}
+}
+
 // TestCloseCancelsBackgroundSearches: Close waits for a search in
 // flight, which caches nothing; after Close neither a write nor a
 // stale read starts a search.
 func TestCloseCancelsBackgroundSearches(t *testing.T) {
 	var mu sync.RWMutex
 	d := incr.NewDataset(incr.Options{})
-	// The default engine: cancelled, it returns a best-so-far answer
-	// (not an error) that must not be cached.
+	// The default engine: cancelled, it returns refine.ErrCanceled and
+	// caches nothing.
 	const query = "fn=cov&mode=lowestk&theta=0.9&workers=1"
 	s, ts := newAutoServer(t, gatedSnapshots{d, &mu},
 		Options{RefineSWR: true, AutoRefine: mustRefineQuery(t, query)})

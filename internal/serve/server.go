@@ -549,7 +549,7 @@ func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
 		"endpoints": []string{
 			"POST /triples   {\"add\": [\"<s> <p> <o> .\"], \"remove\": [...]} or raw N-Triples body",
 			"GET  /sigma?fn=cov|sim|dep[p1,p2]|symdep[p1,p2]|depdisj[p1,p2]",
-			"GET  /refine?fn=cov&mode=lowestk|highesttheta&theta=0.9&k=2&workers=0&engine=auto",
+			"GET  /refine?fn=cov&mode=lowestk|highesttheta&theta=0.9&k=2&engine=auto",
 			"GET  /stats",
 		},
 		"stats": s.d.Stats(),
@@ -840,14 +840,13 @@ func (s *Server) sigmaNow(fn rules.Func) (float64, error) {
 }
 
 // searchAndCache is a background search: run p on snap under the Close
-// cancel and cache the result. A cancelled search returns its
-// best-so-far, which is not the answer for the epoch and is dropped —
-// the background twin of the inline path's r.Context().Err() check.
+// cancel and cache the result. A search cancelled by Close caches
+// nothing and is not an error.
 func (s *Server) searchAndCache(p *refineParams, snap *incr.Snapshot) error {
 	bg := *p
 	bg.opts.Cancel = s.bg.Done()
 	out, err := bg.run(snap)
-	if s.bg.Err() != nil {
+	if errors.Is(err, refine.ErrCanceled) {
 		return nil
 	}
 	if err != nil {
@@ -1012,12 +1011,12 @@ func parseRefineParams(q url.Values) (*refineParams, error) {
 	default:
 		return nil, fmt.Errorf("unknown engine %q", q.Get("engine"))
 	}
+	// workers is validated for old clients and ignored: the search is
+	// sequential, so it is not part of the key either.
 	if v := q.Get("workers"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n < 0 {
+		if n, err := strconv.Atoi(v); err != nil || n < 0 {
 			return nil, fmt.Errorf("bad workers %q", v)
 		}
-		p.opts.Workers = n
 	}
 	// restarts / maxiters bound the heuristic engine's per-instance
 	// cost. A lowest-k sweep runs one local search per probed k, so an
@@ -1056,8 +1055,6 @@ func parseRefineParams(q url.Values) (*refineParams, error) {
 	default:
 		return nil, fmt.Errorf("unknown mode %q (lowestk|highesttheta)", p.mode)
 	}
-	// Workers is left out of the key: outcomes are worker-invariant, so
-	// one entry serves every worker count.
 	p.key = fmt.Sprintf("%s|%s|%d/%d|%d|%d|%d|%d",
 		fn.Name(), p.mode, p.theta1, p.theta2, p.k, p.opts.Engine,
 		p.opts.Heuristic.Restarts, p.opts.Heuristic.MaxIters)
@@ -1139,6 +1136,12 @@ func (s *Server) handleRefine(w http.ResponseWriter, r *http.Request) {
 	inline := *p
 	inline.opts.Cancel = r.Context().Done()
 	out, err := inline.run(snap)
+	if errors.Is(err, refine.ErrCanceled) {
+		// The client has gone away: no one reads this, and a search that
+		// decided nothing leaves nothing to cache.
+		writeError(w, http.StatusServiceUnavailable, "%v", err)
+		return
+	}
 	if err != nil {
 		writeError(w, http.StatusUnprocessableEntity, "%v", err)
 		return
@@ -1148,10 +1151,7 @@ func (s *Server) handleRefine(w http.ResponseWriter, r *http.Request) {
 	verdict := "miss"
 	if nocache {
 		verdict = "bypass"
-	} else if s.refineCache != nil && r.Context().Err() == nil {
-		// A live context certifies the search ran to completion — a
-		// cancelled search returns its best-so-far, which must not be
-		// cached as the answer for this epoch.
+	} else if s.refineCache != nil {
 		s.putRefine(p, snap, resp, body)
 	}
 	writeBody(w, verdict, body)
