@@ -2,6 +2,7 @@ package refine
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 
 	"repro/internal/bitset"
@@ -35,12 +36,28 @@ func (o *HeuristicOptions) defaults() {
 	}
 }
 
-// restartResult is the outcome of one independent restart.
+// restartResult memoizes one restart: its seed and, once searched,
+// its local optimum and score. Neither reads θ, so a θ sweep builds
+// each at most once and only re-checks feasibility per grid point.
 type restartResult struct {
-	assign   Assignment
-	sc       score
-	feasible bool // meaningful only under TargetEarlyExit
-	err      error
+	seed   Assignment // nil until built
+	assign Assignment // local optimum; nil until searched
+	sc     score
+}
+
+// restartSet holds the restarts of one local search over a fixed
+// (view, measure, k, Seed, MaxIters). Each is computed lazily and at
+// most once; solve decides one threshold from them.
+type restartSet struct {
+	ge   *groupEval
+	k    int
+	opts HeuristicOptions
+	runs []restartResult
+}
+
+func newRestartSet(p *Problem, opts HeuristicOptions) *restartSet {
+	opts.defaults()
+	return &restartSet{ge: newGroupEval(p.EvalFunc(), p.View), k: p.K, opts: opts, runs: make([]restartResult, opts.Restarts)}
 }
 
 // SolveHeuristic searches for an assignment maximizing the minimum
@@ -49,51 +66,59 @@ type restartResult struct {
 // winner is the first feasible restart under TargetEarlyExit, else the
 // best score with the lowest restart index breaking ties.
 // Feasible answers are exactly verified witnesses; "not found" answers
-// carry no infeasibility proof (use SolveExact for that).
+// carry no infeasibility proof (use SolveExact for that). Each call
+// computes its restarts afresh; HighestTheta instead shares one
+// restartSet across its θ grid.
 func SolveHeuristic(p *Problem, opts HeuristicOptions) (*Refinement, bool, error) {
 	if err := p.Validate(); err != nil {
 		return nil, false, err
 	}
-	opts.defaults()
-	fn := p.EvalFunc()
-	v := p.View
-	ge := newGroupEval(fn, v)
+	return newRestartSet(p, opts).solve(p)
+}
 
+// solve is SolveHeuristic at p's threshold; p must have the set's view,
+// measure and k.
+func (rs *restartSet) solve(p *Problem) (*Refinement, bool, error) {
+	if err := p.Validate(); err != nil {
+		return nil, false, err
+	}
 	var best Assignment
 	bestScore := score{min: -1}
-	for r := 0; r < opts.Restarts && !canceled(opts.Cancel); r++ {
-		res := runRestart(p, &opts, ge, r)
-		if res.err == ErrCanceled {
+	for r := 0; r < len(rs.runs) && !canceled(rs.opts.Cancel); r++ {
+		assign, sc, feasible, err := rs.run(p, r)
+		if err == ErrCanceled {
 			break
 		}
-		if res.err != nil {
-			return nil, false, res.err
+		if err != nil {
+			return nil, false, err
 		}
 		// A witness decides the instance; later restarts could not win.
-		if opts.TargetEarlyExit && res.feasible {
-			best = res.assign
+		if rs.opts.TargetEarlyExit && feasible {
+			best = assign
 			break
 		}
-		if res.sc.better(bestScore) {
-			bestScore = res.sc
-			best = res.assign
+		if sc.better(bestScore) {
+			bestScore = sc
+			best = assign
 		}
 	}
 	if best == nil {
 		// Cancelled before any restart completed.
 		return nil, false, nil
 	}
-	values, min, err := EvalAssignment(fn, v, best, p.K)
+	best = slices.Clone(best)
+	fn, v := rs.ge.fn, rs.ge.view
+	values, min, err := EvalAssignment(fn, v, best, rs.k)
 	if err != nil {
 		return nil, false, err
 	}
-	feasible, err := Feasible(fn, v, best, p.K, p.Theta1, p.Theta2)
+	feasible, err := Feasible(fn, v, best, rs.k, p.Theta1, p.Theta2)
 	if err != nil {
 		return nil, false, err
 	}
 	// A feasible answer is an exactly-verified witness (rational
 	// comparison in Feasible); only a "not found" answer is heuristic.
-	return &Refinement{Assignment: best, K: p.K, Values: values, MinSigma: min, Exact: feasible}, feasible, nil
+	return &Refinement{Assignment: best, K: rs.k, Values: values, MinSigma: min, Exact: feasible}, feasible, nil
 }
 
 // restartSeed derives a well-mixed per-restart RNG seed (splitmix64)
@@ -105,55 +130,58 @@ func restartSeed(seed int64, r int) int64 {
 	return int64(z ^ (z >> 31))
 }
 
-// runRestart executes one independent restart: seed construction, an
-// optional seed-feasibility shortcut, and local search.
-func runRestart(p *Problem, opts *HeuristicOptions, ge *groupEval, r int) restartResult {
-	restarts.Inc()
-	rng := rand.New(rand.NewSource(restartSeed(opts.Seed, r)))
-	var assign Assignment
-	var err error
-	switch r % 4 {
-	case 0:
-		assign, err = mergeSeed(ge, p.K)
-	case 1:
-		assign, err = greedySeed(ge, p.K)
-	case 2:
-		assign = profileSeed(ge.view, p.K, rng)
-	default:
-		assign = make(Assignment, ge.view.NumSignatures())
-		for i := range assign {
-			assign[i] = rng.Intn(p.K)
+// run decides restart r at p's threshold: the seed if it already
+// clears θ (under TargetEarlyExit), else the local optimum searched
+// from a copy of the seed. feasible is meaningful only under
+// TargetEarlyExit. A search cut short by Cancel memoizes nothing.
+func (rs *restartSet) run(p *Problem, r int) (assign Assignment, sc score, feasible bool, err error) {
+	m := &rs.runs[r]
+	if m.seed == nil {
+		if m.seed, err = rs.newSeed(r); err != nil {
+			return nil, score{}, false, err
 		}
-	}
-	if err != nil {
-		return restartResult{err: err}
 	}
 	// Seeds are often already feasible (notably at large k, where a
 	// near-identity assignment clears any threshold); skip the local
 	// search when a witness only is needed.
-	if opts.TargetEarlyExit {
-		if ok, err := Feasible(ge.fn, ge.view, assign, p.K, p.Theta1, p.Theta2); err != nil {
-			return restartResult{err: err}
-		} else if ok {
-			return restartResult{assign: assign, feasible: true}
+	if rs.opts.TargetEarlyExit {
+		if ok, err := Feasible(rs.ge.fn, rs.ge.view, m.seed, rs.k, p.Theta1, p.Theta2); err != nil || ok {
+			return m.seed, score{}, ok, err
 		}
 	}
-	st, err := newSearchState(ge, assign, p.K)
-	if err != nil {
-		return restartResult{err: err}
-	}
-	if err := st.localSearch(opts.MaxIters, opts.Cancel); err != nil {
-		return restartResult{err: err}
-	}
-	res := restartResult{assign: st.assign, sc: st.score()}
-	if opts.TargetEarlyExit {
-		ok, err := Feasible(ge.fn, ge.view, st.assign, p.K, p.Theta1, p.Theta2)
+	if m.assign == nil {
+		st, err := newSearchState(rs.ge, slices.Clone(m.seed), rs.k)
 		if err != nil {
-			return restartResult{err: err}
+			return nil, score{}, false, err
 		}
-		res.feasible = ok
+		if err := st.localSearch(rs.opts.MaxIters, rs.opts.Cancel); err != nil {
+			return nil, score{}, false, err
+		}
+		m.assign, m.sc = st.assign, st.score()
 	}
-	return res
+	if rs.opts.TargetEarlyExit {
+		feasible, err = Feasible(rs.ge.fn, rs.ge.view, m.assign, rs.k, p.Theta1, p.Theta2)
+	}
+	return m.assign, m.sc, feasible, err
+}
+
+// newSeed builds restart r's seed assignment and counts the restart.
+func (rs *restartSet) newSeed(r int) (Assignment, error) {
+	restarts.Inc()
+	rng := rand.New(rand.NewSource(restartSeed(rs.opts.Seed, r)))
+	switch r % 4 {
+	case 0:
+		return mergeSeed(rs.ge, rs.k)
+	case 1:
+		return greedySeed(rs.ge, rs.k)
+	case 2:
+		return profileSeed(rs.ge.view, rs.k, rng), nil
+	}
+	assign := make(Assignment, rs.ge.view.NumSignatures())
+	for i := range assign {
+		assign[i] = rng.Intn(rs.k)
+	}
+	return assign, nil
 }
 
 // score orders candidate assignments: primarily by minimum σ over

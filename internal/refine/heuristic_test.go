@@ -313,3 +313,50 @@ func TestMergeSeedCacheMatchesNaive(t *testing.T) {
 		}
 	}
 }
+
+// One restart set decides any sequence of thresholds exactly as a fresh
+// SolveHeuristic per threshold: in shuffled θ order, with and without
+// the witness early exit, and after the caller has scribbled over every
+// assignment it was handed (answers are copies, never the memo).
+func TestRestartSetMatchesFreshSolveAtAnyTheta(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	for i := 0; i < 60; i++ {
+		v := randomView(t, rng)
+		props := v.Properties()
+		p1, p2 := props[rng.Intn(len(props))], props[rng.Intn(len(props))]
+		fn := []rules.Func{rules.CovFunc(), rules.SimFunc(), rules.DepFunc(p1, p2), rules.SymDepFunc(p1, p2)}[rng.Intn(4)]
+		k := 1 + rng.Intn(3)
+		opts := HeuristicOptions{Restarts: 1 + rng.Intn(8), MaxIters: 1 + rng.Intn(20), Seed: rng.Int63n(100), TargetEarlyExit: rng.Intn(4) > 0}
+		rs := newRestartSet(&Problem{View: v, Func: fn, K: k}, opts)
+		for _, theta := range rng.Perm(21) {
+			p := &Problem{View: v, Func: fn, K: k, Theta1: int64(theta), Theta2: 20}
+			got, gotOK, err := rs.solve(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, wantOK, err := SolveHeuristic(p, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if gotOK != wantOK || !reflect.DeepEqual(got.Assignment, want.Assignment) || got.MinSigma != want.MinSigma {
+				t.Fatalf("case %d %s k=%d θ=%d/20: shared (%v, %v), fresh (%v, %v)",
+					i, fn.Name(), k, theta, got.Assignment, gotOK, want.Assignment, wantOK)
+			}
+			for s := range got.Assignment {
+				got.Assignment[s] = k
+			}
+		}
+	}
+}
+
+// A local search cut short by Cancel leaves no optimum behind for a
+// later threshold to reuse.
+func TestRestartSetCancelMemoizesNoOptimum(t *testing.T) {
+	closed := make(chan struct{})
+	close(closed)
+	p := &Problem{View: aliveDeadView(t), Func: rules.CovFunc(), K: 2, Theta1: 1, Theta2: 1}
+	rs := newRestartSet(p, HeuristicOptions{Seed: 1, Cancel: closed})
+	if _, _, _, err := rs.run(p, 0); err != ErrCanceled || rs.runs[0].assign != nil {
+		t.Fatalf("cancelled restart: err=%v optimum=%v, want ErrCanceled and nothing memoized", err, rs.runs[0].assign)
+	}
+}

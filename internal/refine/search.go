@@ -106,11 +106,13 @@ type Outcome struct {
 // is proven only when the exact engine completed. A decision started or
 // finished under a closed Cancel fails with ErrCanceled: the engines
 // cut short report "no witness", which must not pass for a verdict.
-func decide(p *Problem, opts *SearchOptions) (ref *Refinement, ok, proven bool, err error) {
+// rs holds the local-search restarts for p's view, measure and k; a θ
+// sweep shares one set across its grid points.
+func decide(p *Problem, opts *SearchOptions, rs *restartSet) (ref *Refinement, ok, proven bool, err error) {
 	if canceled(opts.Cancel) {
 		return nil, false, false, ErrCanceled
 	}
-	ref, ok, proven, err = runEngine(p, opts)
+	ref, ok, proven, err = runEngine(p, opts, rs)
 	if canceled(opts.Cancel) {
 		return nil, false, false, ErrCanceled
 	}
@@ -118,19 +120,19 @@ func decide(p *Problem, opts *SearchOptions) (ref *Refinement, ok, proven bool, 
 }
 
 // runEngine is decide without the cancellation guard.
-func runEngine(p *Problem, opts *SearchOptions) (ref *Refinement, ok, proven bool, err error) {
+func runEngine(p *Problem, opts *SearchOptions, rs *restartSet) (ref *Refinement, ok, proven bool, err error) {
 	switch opts.Engine {
 	case EngineExact:
 		ref, ok, err := SolveExact(p, opts.Encode, opts.Solver)
 		if err == ErrBudget || err == ErrTooLarge {
 			// Fall back to the heuristic: it can still certify feasibility
 			// (the witness is verified exactly) but not infeasibility.
-			ref, ok, err := SolveHeuristic(p, opts.Heuristic)
+			ref, ok, err := rs.solve(p)
 			return ref, ok, ok, err
 		}
 		return ref, ok, err == nil, err
 	case EngineHeuristic:
-		ref, ok, err := SolveHeuristic(p, opts.Heuristic)
+		ref, ok, err := rs.solve(p)
 		return ref, ok, ok, err
 	default: // EngineAuto
 		// Witness-first: the local search certifies feasibility cheaply;
@@ -138,7 +140,7 @@ func runEngine(p *Problem, opts *SearchOptions) (ref *Refinement, ok, proven boo
 		// either to recover one the heuristic missed or to prove
 		// infeasibility. This mirrors the paper's observation that
 		// infeasible instances dominate the cost of the θ sweep.
-		ref, ok, err := SolveHeuristic(p, opts.Heuristic)
+		ref, ok, err := rs.solve(p)
 		if err != nil || ok || !exactTractable(p) {
 			return ref, ok, ok, err
 		}
@@ -160,7 +162,7 @@ func runEngine(p *Problem, opts *SearchOptions) (ref *Refinement, ok, proven boo
 // exactTractable pre-filters instances whose rough-assignment
 // enumeration alone would be too expensive to even attempt encoding.
 // Instances passing this filter are encoded with a T-variable cap (see
-// decide), which measures the true pruned size.
+// runEngine), which measures the true pruned size.
 func exactTractable(p *Problem) bool {
 	if p.Rule == nil {
 		return false
@@ -218,9 +220,12 @@ func HighestTheta(view *matrix.View, rule *rules.Rule, fn rules.Func, k int, opt
 		Refinement: &Refinement{Assignment: identity, K: k, Values: values, MinSigma: min, Exact: true},
 		Theta1:     t1, Theta2: opts.ThetaStep, K: k, Exact: true,
 	}
+	// The restarts read only view, measure and k, never θ: one set
+	// serves every grid point.
+	rs := newRestartSet(&Problem{View: view, Func: evalFn, K: k}, opts.Heuristic)
 	for theta := t1 + 1; theta <= opts.ThetaStep; theta++ {
 		p := &Problem{View: view, Rule: rule, Func: evalFn, K: k, Theta1: theta, Theta2: opts.ThetaStep}
-		ref, ok, proven, err := decide(p, &opts)
+		ref, ok, proven, err := decide(p, &opts, rs)
 		if err != nil {
 			return nil, err
 		}
@@ -258,7 +263,7 @@ func LowestK(view *matrix.View, rule *rules.Rule, fn rules.Func, theta1, theta2 
 	out := &Outcome{Theta1: theta1, Theta2: theta2, Exact: true}
 	for k := 1; k <= maxK; k++ {
 		p := &Problem{View: view, Rule: rule, Func: fn, K: k, Theta1: theta1, Theta2: theta2}
-		ref, ok, proven, err := decide(p, &opts)
+		ref, ok, proven, err := decide(p, &opts, newRestartSet(p, opts.Heuristic))
 		if err != nil {
 			return nil, err
 		}
@@ -291,7 +296,7 @@ func lowestKDownward(view *matrix.View, rule *rules.Rule, fn rules.Func, theta1,
 	lastK := 0
 	for k := maxK; k >= 1; k-- {
 		p := &Problem{View: view, Rule: rule, Func: fn, K: k, Theta1: theta1, Theta2: theta2}
-		ref, ok, proven, err := decide(p, &opts)
+		ref, ok, proven, err := decide(p, &opts, newRestartSet(p, opts.Heuristic))
 		if err != nil {
 			return nil, err
 		}

@@ -247,7 +247,7 @@ func New(d incr.Engine, opts Options) *Server {
 			"Full signature-list scans by the pairwise closed forms (process-wide).",
 			rules.SignatureScanCounter())
 		reg.AttachCounter("rdf_refine_restarts_total",
-			"Refinement local-search restarts executed (process-wide).",
+			"Refinement local-search restarts computed; a θ sweep computes each at most once (process-wide).",
 			refine.RestartCounter())
 		if opts.Protect != nil {
 			opts.Protect.Register(reg)
@@ -1018,10 +1018,11 @@ func parseRefineParams(q url.Values) (*refineParams, error) {
 			return nil, fmt.Errorf("bad workers %q", v)
 		}
 	}
-	// restarts / maxiters bound the heuristic engine's per-instance
-	// cost. A lowest-k sweep runs one local search per probed k, so an
-	// interactive or load-generating client can cap its worst case here
-	// instead of relying on disconnect-cancellation after the fact.
+	// restarts / maxiters bound the heuristic engine's cost. A
+	// highest-θ search pays them once; a lowest-k sweep pays them per
+	// probed k, so an interactive or load-generating client can cap its
+	// worst case here instead of relying on disconnect-cancellation
+	// after the fact.
 	if v := q.Get("restarts"); v != "" {
 		n, err := strconv.Atoi(v)
 		if err != nil || n < 1 || n > 64 {
