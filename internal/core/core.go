@@ -18,6 +18,7 @@ import (
 	"repro/internal/rdf"
 	"repro/internal/refine"
 	"repro/internal/rules"
+	"repro/internal/term"
 	"repro/internal/viz"
 )
 
@@ -25,24 +26,11 @@ import (
 type Dataset struct {
 	Name string
 	View *matrix.View
-	// Graph is the originating RDF graph, when loaded from triples
-	// (nil for synthetically generated views).
-	Graph *rdf.Graph
-}
-
-// LoadNTriples reads an N-Triples file and extracts the subgraph of the
-// given sort (empty sortURI = whole graph) as a dataset.
-func LoadNTriples(path, sortURI string) (*Dataset, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return ReadNTriples(f, path, sortURI)
 }
 
 // Load reads an RDF file, selecting the parser by extension: .ttl/.turtle
-// for Turtle, anything else N-Triples.
+// for Turtle, anything else N-Triples. A non-empty sortURI extracts the
+// subgraph Dt of the subjects declared of that sort.
 func Load(path, sortURI string) (*Dataset, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -50,35 +38,91 @@ func Load(path, sortURI string) (*Dataset, error) {
 	}
 	defer f.Close()
 	if strings.HasSuffix(path, ".ttl") || strings.HasSuffix(path, ".turtle") {
-		g, err := rdf.ParseTurtle(f)
-		if err != nil {
+		fd := newFold(term.NewDict(), sortURI)
+		if err := rdf.ReadTurtleIDs(f, fd.dict, func(it rdf.IDTriple) error { fd.addID(it); return nil }); err != nil {
 			return nil, err
 		}
-		return FromGraph(g, path, sortURI)
+		return fd.dataset(path)
 	}
 	return ReadNTriples(f, path, sortURI)
 }
 
-// ReadNTriples is LoadNTriples over an io.Reader.
+// ReadNTriples is Load for N-Triples read from r.
 func ReadNTriples(r io.Reader, name, sortURI string) (*Dataset, error) {
-	g, err := rdf.ParseNTriples(r)
-	if err != nil {
+	fd := newFold(term.NewDict(), sortURI)
+	if err := fd.readNTriples(r); err != nil {
 		return nil, err
 	}
-	return FromGraph(g, name, sortURI)
+	return fd.dataset(name)
 }
 
 // FromGraph builds a dataset from a graph, extracting Dt when sortURI
 // is non-empty.
 func FromGraph(g *rdf.Graph, name, sortURI string) (*Dataset, error) {
+	fd := newFold(g.Dict(), sortURI)
+	g.EachTripleID(fd.addID)
+	return fd.dataset(name)
+}
+
+// fold streams triples into a view builder and records, in the same
+// pass, Dt: the subjects carrying (rdf:type, <sortURI>) with a URI
+// object.
+type fold struct {
+	dict    *term.Dict
+	b       *matrix.Builder
+	sortURI string
+	typeID  term.ID // interned only when a sort is asked for
+	inSort  map[term.ID]bool
+}
+
+func newFold(dict *term.Dict, sortURI string) *fold {
+	fd := &fold{
+		dict:    dict,
+		b:       matrix.NewBuilder(dict, matrix.Options{KeepSubjects: true}),
+		sortURI: sortURI,
+		inSort:  map[term.ID]bool{},
+	}
 	if sortURI != "" {
-		g = g.SortSubgraph(sortURI)
-		if g.Len() == 0 {
-			return nil, fmt.Errorf("core: no subjects of sort %q", sortURI)
+		fd.typeID = dict.Intern(rdf.TypeURI)
+	}
+	return fd
+}
+
+// readNTriples folds an N-Triples dump line by line. Objects are
+// compared, never interned, so the dictionary holds only subjects and
+// predicates.
+func (fd *fold) readNTriples(r io.Reader) error {
+	dec := rdf.NewNTriplesDecoder(r)
+	for {
+		s, p, kind, obj, err := dec.NextSP(fd.dict)
+		if err == io.EOF {
+			return nil
+		}
+		if err != nil {
+			return err
+		}
+		fd.b.Add(s, p)
+		if fd.sortURI != "" && p == fd.typeID && kind == rdf.URI && string(obj) == fd.sortURI {
+			fd.inSort[s] = true
 		}
 	}
-	v := matrix.FromGraph(g, matrix.Options{KeepSubjects: true})
-	return &Dataset{Name: name, View: v, Graph: g}, nil
+}
+
+func (fd *fold) addID(it rdf.IDTriple) {
+	fd.b.Add(it.S, it.P)
+	if fd.sortURI != "" && it.P == fd.typeID && it.OKind == rdf.URI && fd.dict.String(it.O) == fd.sortURI {
+		fd.inSort[it.S] = true
+	}
+}
+
+func (fd *fold) dataset(name string) (*Dataset, error) {
+	if fd.sortURI == "" {
+		return &Dataset{Name: name, View: fd.b.View(nil)}, nil
+	}
+	if len(fd.inSort) == 0 {
+		return nil, fmt.Errorf("core: no subjects of sort %q", fd.sortURI)
+	}
+	return &Dataset{Name: name, View: fd.b.View(func(s term.ID) bool { return fd.inSort[s] })}, nil
 }
 
 // FromView wraps a pre-built view.
@@ -234,18 +278,4 @@ func (rr *RefineResult) SortViewsBySize() []*matrix.View {
 	views, _ := rr.Outcome.Refinement.SortViews(rr.Dataset.View)
 	sort.Slice(views, func(i, j int) bool { return views[i].NumSubjects() > views[j].NumSubjects() })
 	return views
-}
-
-// SaveNTriples serializes the dataset's graph (must have been loaded or
-// generated with triples).
-func (d *Dataset) SaveNTriples(path string) error {
-	if d.Graph == nil {
-		return fmt.Errorf("core: dataset %q has no graph to save", d.Name)
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return rdf.WriteNTriples(f, d.Graph)
 }

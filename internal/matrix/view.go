@@ -39,9 +39,9 @@ type Signature struct {
 func (sg Signature) Support() []int { return sg.Bits.Indices() }
 
 // View is the signature-compressed property-structure view of a
-// dataset. Construct with FromGraph or New. Signatures are ordered by
-// decreasing Count (ties broken by bit pattern) as in the paper's
-// figures.
+// dataset. Construct with FromGraph, a Builder or New. Signatures are
+// ordered by decreasing Count (ties broken by bit pattern) as in the
+// paper's figures.
 type View struct {
 	props     []string
 	propIndex map[string]int
@@ -77,31 +77,113 @@ type Options struct {
 
 // FromGraph builds the view of g. By default rdf:type is excluded from
 // the property columns, matching the paper's dataset descriptions
-// ("8 properties (excluding the type property)").
-//
-// Construction runs on interned term IDs: one dictionary pass maps the
-// graph's predicate IDs to sorted-by-name columns, and each subject's
-// signature bits are set by integer column lookups — no URI is hashed
-// or re-materialized per cell. Subject strings only materialize when
-// KeepSubjects asks for them.
+// ("8 properties (excluding the type property)"). It feeds g's
+// (subject, predicate) pairs through a Builder, so a graph and a
+// streamed dump group their signatures on one path.
 func FromGraph(g *rdf.Graph, opts Options) *View {
-	dict := g.Dict()
+	b := NewBuilder(g.Dict(), opts)
+	g.EachTripleID(func(t rdf.IDTriple) { b.Add(t.S, t.P) })
+	return b.View(nil)
+}
+
+// Builder folds (subject, predicate) presence pairs into a view, row by
+// row, without keeping the triples: a repeated pair sets the same cell
+// and objects never change one. Each subject's row is a bit word over
+// the predicates in first-seen order; View maps those bits onto the
+// name-sorted columns FromGraph has always produced.
+type Builder struct {
+	dict  *term.Dict
+	opts  Options
+	slots []termSlot // by term ID
+	subjs []term.ID  // row → subject ID, first-seen order
+	preds []term.ID  // bit → predicate ID, first-seen order
+	// words holds row r's predicate bits at words[r*stride:(r+1)*stride];
+	// stride doubles, re-laying out every row, when a new predicate
+	// outgrows it. One flat array keeps the fold free of per-subject
+	// allocations.
+	words  []uint64
+	stride int
+}
+
+// termSlot is a term's row and predicate bit, each offset by one so
+// that the zero value means "not seen in that position".
+type termSlot struct{ row, bit int32 }
+
+// NewBuilder returns an empty builder whose term IDs resolve in dict.
+func NewBuilder(dict *term.Dict, opts Options) *Builder {
+	return &Builder{dict: dict, opts: opts, stride: 1}
+}
+
+func (b *Builder) slot(id term.ID) *termSlot {
+	if int(id) >= len(b.slots) {
+		n := max(int(id)+1, 2*len(b.slots))
+		b.slots = append(b.slots, make([]termSlot, n-len(b.slots))...)
+	}
+	return &b.slots[id]
+}
+
+// Add records that subject s has predicate p.
+func (b *Builder) Add(s, p term.ID) {
+	ps := b.slot(p)
+	if ps.bit == 0 {
+		b.preds = append(b.preds, p)
+		ps.bit = int32(len(b.preds))
+		if len(b.preds) > 64*b.stride {
+			b.widen()
+		}
+	}
+	bit := int(ps.bit - 1)
+	ss := b.slot(s)
+	if ss.row == 0 {
+		b.subjs = append(b.subjs, s)
+		ss.row = int32(len(b.subjs))
+		for i := 0; i < b.stride; i++ {
+			b.words = append(b.words, 0)
+		}
+	}
+	b.words[int(ss.row-1)*b.stride+bit>>6] |= 1 << (bit & 63)
+}
+
+func (b *Builder) widen() {
+	w := make([]uint64, 2*b.stride*len(b.subjs))
+	for r := range b.subjs {
+		copy(w[2*b.stride*r:], b.row(r))
+	}
+	b.words, b.stride = w, 2*b.stride
+}
+
+func (b *Builder) row(r int) []uint64 { return b.words[r*b.stride : (r+1)*b.stride] }
+
+// View returns the view of the subjects keep accepts (nil keeps every
+// subject). Its columns are the predicates those subjects use, minus
+// rdf:type and Options.IgnoreProperties, sorted by name; subjects whose
+// only predicates are ignored still count, with an all-zero signature.
+func (b *Builder) View(keep func(s term.ID) bool) *View {
+	var rows []int
+	used := make([]uint64, b.stride)
+	for r, s := range b.subjs {
+		if keep == nil || keep(s) {
+			rows = append(rows, r)
+			for i, w := range b.row(r) {
+				used[i] |= w
+			}
+		}
+	}
 	ignore := map[term.ID]bool{}
-	for _, p := range append([]string{rdf.TypeURI}, opts.IgnoreProperties...) {
-		if id, ok := dict.Lookup(p); ok {
+	for _, p := range append([]string{rdf.TypeURI}, b.opts.IgnoreProperties...) {
+		if id, ok := b.dict.Lookup(p); ok {
 			ignore[id] = true
 		}
 	}
-	// The single dictionary pass: materialize each column name once and
-	// order columns by name, as the string implementation did.
+	// Materialize each column name once and order columns by name.
 	type pcol struct {
 		name string
-		id   term.ID
+		bit  int
 	}
-	cols := make([]pcol, 0, g.PropertyCount())
-	for _, id := range g.PropertyIDs() {
-		if !ignore[id] {
-			cols = append(cols, pcol{name: dict.String(id), id: id})
+	var cols []pcol
+	for bit, id := range b.preds {
+		if used[bit>>6]&(1<<(bit&63)) != 0 && !ignore[id] {
+			cols = append(cols, pcol{name: b.dict.String(id), bit: bit})
 		}
 	}
 	sort.Slice(cols, func(i, j int) bool { return cols[i].name < cols[j].name })
@@ -110,11 +192,14 @@ func FromGraph(g *rdf.Graph, opts Options) *View {
 		props = make([]string, len(cols))
 	}
 	propIndex := make(map[string]int, len(cols))
-	colOf := make(map[term.ID]int, len(cols))
+	colOf := make([]int, len(b.preds))
+	for i := range colOf {
+		colOf[i] = -1
+	}
 	for i, c := range cols {
 		props[i] = c.name
 		propIndex[c.name] = i
-		colOf[c.id] = i
+		colOf[c.bit] = i
 	}
 
 	type group struct {
@@ -122,7 +207,6 @@ func FromGraph(g *rdf.Graph, opts Options) *View {
 		subjects []term.ID
 	}
 	groups := map[string]*group{}
-	nSubjects := 0
 	// One scratch signature and key buffer serve the whole grouping
 	// loop: the map is probed without materializing a key string, and
 	// the bits are only compressed into a retained container for a
@@ -131,40 +215,45 @@ func FromGraph(g *rdf.Graph, opts Options) *View {
 	// |Λ|·|P|/8.
 	scratch := bitset.New(len(props))
 	var keyBuf []byte
-	setBit := func(tr rdf.IDTriple) {
-		if i, ok := colOf[tr.P]; ok {
-			scratch.Set(i)
-		}
-	}
-	for _, s := range g.SubjectIDs() {
+	for _, r := range rows {
 		scratch.Reset()
-		g.EachSubjectTripleID(s, setBit)
-		// Subjects whose only triples are ignored properties still count
-		// as rows (they exist in S(D)); their signature is all-zero.
-		nSubjects++
+		for i, w := range b.row(r) {
+			for ; w != 0; w &= w - 1 {
+				if c := colOf[64*i+bits.TrailingZeros64(w)]; c >= 0 {
+					scratch.Set(c)
+				}
+			}
+		}
 		keyBuf = scratch.AppendKey(keyBuf[:0])
 		gr := groups[string(keyBuf)]
 		if gr == nil {
 			gr = &group{bits: bitset.Compress(scratch)}
 			groups[string(keyBuf)] = gr
 		}
-		gr.subjects = append(gr.subjects, s)
+		gr.subjects = append(gr.subjects, b.subjs[r])
 	}
 
+	// Subject names come from one copy of the dictionary's table: a
+	// String call per subject would take the dictionary's lock for every
+	// term interned since its last publish.
+	var names []string
+	if b.opts.KeepSubjects {
+		names = b.dict.StringsFrom(0)
+	}
 	sigs := make([]Signature, 0, len(groups))
 	for _, gr := range groups {
 		sg := Signature{Bits: gr.bits, Count: len(gr.subjects)}
-		if opts.KeepSubjects {
+		if b.opts.KeepSubjects {
 			subs := make([]string, len(gr.subjects))
 			for i, id := range gr.subjects {
-				subs[i] = dict.String(id)
+				subs[i] = names[id]
 			}
 			sort.Strings(subs)
 			sg.Subjects = subs
 		}
 		sigs = append(sigs, sg)
 	}
-	v := &View{props: props, propIndex: propIndex, sigs: sigs, subjects: nSubjects}
+	v := &View{props: props, propIndex: propIndex, sigs: sigs, subjects: len(rows)}
 	v.sortSigs()
 	return v
 }
@@ -173,30 +262,13 @@ func FromGraph(g *rdf.Graph, opts Options) *View {
 // by generators and by partition operations. Signature bit sets must
 // have capacity len(props). Counts must be positive.
 func New(props []string, sigs []Signature) (*View, error) {
-	propIndex := make(map[string]int, len(props))
-	for i, p := range props {
-		if _, dup := propIndex[p]; dup {
-			return nil, fmt.Errorf("matrix: duplicate property %q", p)
-		}
-		propIndex[p] = i
+	propIndex, total, err := checkSignatures(props, sigs)
+	if err != nil {
+		return nil, err
 	}
 	merged := map[string]*Signature{}
 	order := []string{}
-	total := 0
 	for _, sg := range sigs {
-		if sg.Bits == nil {
-			return nil, fmt.Errorf("matrix: nil signature bits")
-		}
-		if sg.Bits.Len() != len(props) {
-			return nil, fmt.Errorf("matrix: signature capacity %d != %d properties", sg.Bits.Len(), len(props))
-		}
-		if sg.Count <= 0 {
-			return nil, fmt.Errorf("matrix: non-positive signature count %d", sg.Count)
-		}
-		if sg.Subjects != nil && len(sg.Subjects) != sg.Count {
-			return nil, fmt.Errorf("matrix: %d subjects but count %d", len(sg.Subjects), sg.Count)
-		}
-		total += sg.Count
 		// The canonical key is representation-independent, so inputs
 		// mixing dense and compressed containers for the same pattern
 		// merge correctly.
@@ -228,32 +300,42 @@ func New(props []string, sigs []Signature) (*View, error) {
 // taken over by the view, not cloned; callers must hand over fresh
 // copies and never mutate them afterwards.
 func NewDistinct(props []string, sigs []Signature) (*View, error) {
+	propIndex, total, err := checkSignatures(props, sigs)
+	if err != nil {
+		return nil, err
+	}
+	v := &View{props: props, propIndex: propIndex, sigs: sigs, subjects: total}
+	v.sortSigs()
+	return v, nil
+}
+
+// checkSignatures validates New's and NewDistinct's input and returns
+// the column index and the subject total.
+func checkSignatures(props []string, sigs []Signature) (map[string]int, int, error) {
 	propIndex := make(map[string]int, len(props))
 	for i, p := range props {
 		if _, dup := propIndex[p]; dup {
-			return nil, fmt.Errorf("matrix: duplicate property %q", p)
+			return nil, 0, fmt.Errorf("matrix: duplicate property %q", p)
 		}
 		propIndex[p] = i
 	}
 	total := 0
 	for _, sg := range sigs {
 		if sg.Bits == nil {
-			return nil, fmt.Errorf("matrix: nil signature bits")
+			return nil, 0, fmt.Errorf("matrix: nil signature bits")
 		}
 		if sg.Bits.Len() != len(props) {
-			return nil, fmt.Errorf("matrix: signature capacity %d != %d properties", sg.Bits.Len(), len(props))
+			return nil, 0, fmt.Errorf("matrix: signature capacity %d != %d properties", sg.Bits.Len(), len(props))
 		}
 		if sg.Count <= 0 {
-			return nil, fmt.Errorf("matrix: non-positive signature count %d", sg.Count)
+			return nil, 0, fmt.Errorf("matrix: non-positive signature count %d", sg.Count)
 		}
 		if sg.Subjects != nil && len(sg.Subjects) != sg.Count {
-			return nil, fmt.Errorf("matrix: %d subjects but count %d", len(sg.Subjects), sg.Count)
+			return nil, 0, fmt.Errorf("matrix: %d subjects but count %d", len(sg.Subjects), sg.Count)
 		}
 		total += sg.Count
 	}
-	v := &View{props: props, propIndex: propIndex, sigs: sigs, subjects: total}
-	v.sortSigs()
-	return v, nil
+	return propIndex, total, nil
 }
 
 // MergeViews merges the views of subject-disjoint datasets at the

@@ -7,6 +7,8 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+
+	"repro/internal/term"
 )
 
 // TestGraphIDRoundtrip checks the ID-based API agrees with the string
@@ -231,9 +233,9 @@ func TestNTriplesWriteParseRoundtrip(t *testing.T) {
 	}
 }
 
-// FuzzNTriplesLineParity feeds arbitrary lines to the string parser and
-// the interning parser; they must agree on accept/reject and on the
-// parsed triple.
+// FuzzNTriplesLineParity feeds arbitrary lines to the string parser,
+// the interning parser and the object-skipping NextSP; they must agree
+// on accept/reject and on the parsed triple, and NextSP on the error.
 func FuzzNTriplesLineParity(f *testing.F) {
 	f.Add(`<http://ex/s> <http://ex/p> "lit\ttab" .`)
 	f.Add(`<http://ex/s> <http://ex/p> <http://ex/o> . # c`)
@@ -271,6 +273,27 @@ func FuzzNTriplesLineParity(f *testing.F) {
 			}
 			if got != st {
 				t.Fatalf("triple mismatch for %q:\n  string: %+v\n  interned: %+v", line, st, got)
+			}
+		}
+
+		// NextSP parses and validates exactly as the others do but
+		// interns only the subject and predicate.
+		dict := term.NewDict()
+		s, p, kind, obj, errP := NewNTriplesDecoder(strings.NewReader(line + "\n")).NextSP(dict)
+		okP := errP == nil
+		if errP == io.EOF {
+			errP = nil
+		}
+		if okS != okP || (errS == nil) != (errP == nil) || (errS != nil && errS.Error() != errP.Error()) {
+			t.Fatalf("NextSP mismatch for %q: string ok=%v err=%v, NextSP ok=%v err=%v", line, okS, errS, okP, errP)
+		}
+		if okS {
+			got := Triple{Subject: dict.String(s), Predicate: dict.String(p), Object: Term{Kind: kind, Value: string(obj)}}
+			if got != st {
+				t.Fatalf("NextSP triple mismatch for %q:\n  string: %+v\n  NextSP: %+v", line, st, got)
+			}
+			if want := len(map[string]bool{st.Subject: true, st.Predicate: true}); dict.Len() != want {
+				t.Fatalf("NextSP interned %d terms for %q, want %d (subject and predicate only)", dict.Len(), line, want)
 			}
 		}
 	})

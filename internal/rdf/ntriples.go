@@ -25,12 +25,15 @@ func (e *ParseError) Error() string {
 // line at a time, holding only the current line in memory — the way
 // rdfserved and the CLIs ingest large dumps with bounded memory.
 //
-// Two output forms are available: Next materializes a string Triple
+// Three output forms are available: Next materializes a string Triple
 // per line, while NextID parses directly off the scanner's byte buffer
 // and interns each term into a dictionary — zero string allocation for
 // terms the dictionary has already seen, which in steady-state
 // ingestion is nearly all of them (subjects repeat across their
 // triples, predicates and common objects repeat across the dump).
+// NextSP is NextID without the object: the batch CLIs read only
+// (subject, predicate) presence, so their dictionary never holds
+// objects.
 type NTriplesDecoder struct {
 	sc      *bufio.Scanner
 	line    int
@@ -94,6 +97,40 @@ func (d *NTriplesDecoder) Next() (Triple, error) {
 // only copied into a string when the dictionary has never seen them.
 // At end of input it returns io.EOF.
 func (d *NTriplesDecoder) NextID(dict *term.Dict) (IDTriple, error) {
+	rt, err := d.nextRaw(dict)
+	if err != nil {
+		return IDTriple{}, err
+	}
+	it := IDTriple{
+		S:     d.subjMemo.intern(rt.subj, dict),
+		P:     d.predMemo.intern(rt.pred, dict),
+		OKind: rt.objKind,
+	}
+	if d.objMemoKind != rt.objKind {
+		d.objMemo.ok = false
+		d.objMemoKind = rt.objKind
+	}
+	it.O = d.objMemo.intern(rt.obj, dict)
+	return it, nil
+}
+
+// NextSP is NextID for readers that need only which (subject,
+// predicate) cells are set: it parses and validates the line exactly
+// as NextID does and interns the subject and predicate, but never
+// interns the object. It returns the object's kind and its bytes
+// (unescaped for literals), which view the decoder's buffers and are
+// valid only until the next call. At end of input it returns io.EOF.
+func (d *NTriplesDecoder) NextSP(dict *term.Dict) (s, p term.ID, kind TermKind, obj []byte, err error) {
+	rt, err := d.nextRaw(dict)
+	if err != nil {
+		return 0, 0, 0, nil, err
+	}
+	return d.subjMemo.intern(rt.subj, dict), d.predMemo.intern(rt.pred, dict), rt.objKind, rt.obj, nil
+}
+
+// nextRaw parses the next non-blank, non-comment line into views of the
+// scanner's buffer, resetting the term memos when dict changes.
+func (d *NTriplesDecoder) nextRaw(dict *term.Dict) (rawTriple[[]byte], error) {
 	if d.memoDict != dict {
 		d.memoDict = dict
 		d.subjMemo.ok, d.predMemo.ok, d.objMemo.ok = false, false, false
@@ -103,28 +140,14 @@ func (d *NTriplesDecoder) NextID(dict *term.Dict) (IDTriple, error) {
 		p := &lineParser[[]byte]{s: d.sc.Bytes(), line: d.line, scratch: d.scratch[:0]}
 		rt, ok, err := parseLine(p)
 		d.scratch = p.scratch
-		if err != nil {
-			return IDTriple{}, err
+		if err != nil || ok {
+			return rt, err
 		}
-		if !ok {
-			continue
-		}
-		it := IDTriple{
-			S:     d.subjMemo.intern(rt.subj, dict),
-			P:     d.predMemo.intern(rt.pred, dict),
-			OKind: rt.objKind,
-		}
-		if d.objMemoKind != rt.objKind {
-			d.objMemo.ok = false
-			d.objMemoKind = rt.objKind
-		}
-		it.O = d.objMemo.intern(rt.obj, dict)
-		return it, nil
 	}
 	if err := d.sc.Err(); err != nil {
-		return IDTriple{}, fmt.Errorf("ntriples: read: %w", err)
+		return rawTriple[[]byte]{}, fmt.Errorf("ntriples: read: %w", err)
 	}
-	return IDTriple{}, io.EOF
+	return rawTriple[[]byte]{}, io.EOF
 }
 
 // Line returns the number of the last line consumed (1-based).

@@ -77,32 +77,31 @@ func Encode(p *Problem, opts EncodeOptions) (*Encoding, error) {
 	}
 	m := enc.Model
 
-	// Collect rough assignments with positive total count, computed
-	// offline against the full view (Section 6.2: the counts are
-	// constants of the ILP instance).
-	var encodeErr error
-	counter.Enumerate(func(tau rules.RoughAssignment) {
-		if encodeErr != nil {
-			return
+	// Collect the rough assignments with positive total count, deciding
+	// the size cap before any big-integer counting: ErrTooLarge fires on
+	// the same τ count as counting first would, without paying Count for
+	// an encoding that is thrown away.
+	tooLarge := false
+	counter.Enumerate(func(tau rules.RoughAssignment) bool {
+		if !counter.Positive(tau) {
+			return true
 		}
+		enc.Taus = append(enc.Taus, append(rules.RoughAssignment(nil), tau...))
+		tooLarge = opts.MaxTVars > 0 && k*len(enc.Taus) > opts.MaxTVars
+		return !tooLarge
+	})
+	if tooLarge {
+		return nil, ErrTooLarge
+	}
+	// The counts are constants of the ILP instance, computed offline
+	// against the full view (Section 6.2).
+	for _, tau := range enc.Taus {
 		tot, fav := counter.Count(tau)
-		if tot.Sign() == 0 {
-			return
-		}
 		if !tot.IsInt64() || !fav.IsInt64() {
-			encodeErr = fmt.Errorf("refine: count overflow for τ=%v", tau)
-			return
+			return nil, fmt.Errorf("refine: count overflow for τ=%v", tau)
 		}
-		cp := append(rules.RoughAssignment(nil), tau...)
-		enc.Taus = append(enc.Taus, cp)
 		enc.Tot = append(enc.Tot, tot.Int64())
 		enc.Fav = append(enc.Fav, fav.Int64())
-		if opts.MaxTVars > 0 && k*len(enc.Taus) > opts.MaxTVars {
-			encodeErr = ErrTooLarge
-		}
-	})
-	if encodeErr != nil {
-		return nil, encodeErr
 	}
 
 	// Variables.

@@ -1,6 +1,8 @@
 package refine
 
 import (
+	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -43,11 +45,64 @@ func TestEncodeStructure(t *testing.T) {
 	}
 }
 
+// The cap is decided before any τ is counted, on exactly the k·|τ| it
+// bounds: at k·|τ| − 1 the encoding is ErrTooLarge, and at k·|τ| and
+// k·|τ| + 1 it is identical to the uncapped encoding.
 func TestEncodeMaxTVars(t *testing.T) {
-	v := aliveDeadView(t)
-	p := &Problem{View: v, Rule: rules.CovRule(), K: 2, Theta1: 1, Theta2: 1}
+	p := &Problem{View: aliveDeadView(t), Rule: rules.CovRule(), K: 2, Theta1: 1, Theta2: 1}
 	if _, err := Encode(p, EncodeOptions{MaxTVars: 3}); err != ErrTooLarge {
 		t.Fatalf("err = %v, want ErrTooLarge", err)
+	}
+	lp := func(enc *Encoding) string {
+		var b strings.Builder
+		if err := ilp.WriteLP(&b, enc.Model); err != nil {
+			t.Fatal(err)
+		}
+		return b.String()
+	}
+	rng := rand.New(rand.NewSource(53))
+	for trial := 0; trial < 40; trial++ {
+		rule := []*rules.Rule{rules.CovRule(), rules.SimRule(), rules.DepRule("p0", "p1")}[trial%3]
+		p := &Problem{View: randomView(t, rng), Rule: rule, K: 1 + rng.Intn(3), Theta1: 1, Theta2: 2}
+		full, err := Encode(p, EncodeOptions{SymmetryBreaking: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := p.K * len(full.Taus)
+		for _, capVars := range []int{n - 1, n, n + 1} {
+			if capVars == 0 {
+				continue // 0 means no cap
+			}
+			enc, err := Encode(p, EncodeOptions{SymmetryBreaking: true, MaxTVars: capVars})
+			if capVars < n {
+				if err != ErrTooLarge {
+					t.Fatalf("trial %d: cap %d < k·|τ| = %d gave err %v, want ErrTooLarge", trial, capVars, n, err)
+				}
+				continue
+			}
+			if err != nil {
+				t.Fatalf("trial %d: cap %d ≥ k·|τ| = %d: %v", trial, capVars, n, err)
+			}
+			if !reflect.DeepEqual(enc.Taus, full.Taus) || !reflect.DeepEqual(enc.Tot, full.Tot) ||
+				!reflect.DeepEqual(enc.Fav, full.Fav) || lp(enc) != lp(full) {
+				t.Fatalf("trial %d: cap %d changed the encoding", trial, capVars)
+			}
+		}
+	}
+}
+
+// An instance over the cap whose τ counts overflow int64 is reported
+// as ErrTooLarge, so the auto engine still routes it to the heuristic;
+// uncapped, it is the overflow error.
+func TestEncodeCapPrecedesOverflow(t *testing.T) {
+	huge := 1 << 40 // σSim's tot for two subjects of one set is ≈ 2⁸⁰
+	v := mkView(t, []string{"p", "q"}, []string{"11", "10"}, []int{huge, huge})
+	p := &Problem{View: v, Rule: rules.SimRule(), K: 2, Theta1: 1, Theta2: 2}
+	if _, err := Encode(p, EncodeOptions{MaxTVars: 2}); err != ErrTooLarge {
+		t.Fatalf("capped: err = %v, want ErrTooLarge", err)
+	}
+	if _, err := Encode(p, EncodeOptions{}); err == nil || !strings.Contains(err.Error(), "overflow") {
+		t.Fatalf("uncapped: err = %v, want a count overflow", err)
 	}
 }
 

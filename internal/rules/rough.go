@@ -166,6 +166,45 @@ func (c *Counter) Count(tau RoughAssignment) (tot, fav *big.Int) {
 	return tot, fav
 }
 
+// Positive reports whether Count's total for τ is positive, without
+// big-integer arithmetic or allocation: some coreference partition gives
+// each class one signature, no signature more classes than it has
+// subjects, and satisfies the antecedent.
+func (c *Counter) Positive(tau RoughAssignment) bool {
+	if len(tau) != len(c.vars) {
+		panic("rules: rough assignment length mismatch")
+	}
+	sigs := c.view.Signatures()
+	var classSig [8]int // NewCounter admits at most 8 variables
+	for _, part := range c.parts {
+		// Restricted growth: a class seen for the first time is numbered
+		// nClasses.
+		nClasses, ok := 0, true
+		for vi, cls := range part {
+			if cls == nClasses {
+				classSig[cls] = tau[vi].Sig
+				nClasses++
+			} else if classSig[cls] != tau[vi].Sig {
+				ok = false
+				break
+			}
+		}
+		for i := 0; ok && i < nClasses; i++ {
+			m := 0
+			for _, s := range classSig[:nClasses] {
+				if s == classSig[i] {
+					m++
+				}
+			}
+			ok = m <= sigs[classSig[i]].Count
+		}
+		if ok && c.holds(c.rule.Antecedent, tau, part) {
+			return true
+		}
+	}
+	return false
+}
+
 // holds evaluates a formula under a rough assignment and a coreference
 // partition; every atom is decidable.
 func (c *Counter) holds(f Formula, tau RoughAssignment, part []int) bool {
@@ -235,16 +274,17 @@ func (c *Counter) domains() []varDomain {
 }
 
 // Enumerate calls fn for every rough assignment over the view's
-// signatures and used property columns that passes the domain pruning.
-// fn receives a τ that must not be retained across calls.
-func (c *Counter) Enumerate(fn func(tau RoughAssignment)) { c.enumerateRestricted(-1, fn) }
+// signatures and used property columns that passes the domain pruning,
+// until fn returns false. fn receives a τ that must not be retained
+// across calls.
+func (c *Counter) Enumerate(fn func(tau RoughAssignment) bool) { c.enumerateRestricted(-1, fn) }
 
 // enumerateRestricted is Enumerate with the first variable's signature
 // optionally pinned to firstSig (−1 = unrestricted) — the partition
 // unit of the signature-parallel evaluator. All local state (τ, domain
 // tables) is per-call, so concurrent restricted enumerations over one
 // Counter are safe.
-func (c *Counter) enumerateRestricted(firstSig int, fn func(tau RoughAssignment)) {
+func (c *Counter) enumerateRestricted(firstSig int, fn func(tau RoughAssignment) bool) {
 	cols := usedColumns(c.view)
 	doms := c.domains()
 	for _, d := range doms {
@@ -254,11 +294,10 @@ func (c *Counter) enumerateRestricted(firstSig int, fn func(tau RoughAssignment)
 	}
 	sigs := c.view.Signatures()
 	tau := make(RoughAssignment, len(c.vars))
-	var rec func(i int)
-	rec = func(i int) {
+	var rec func(i int) bool
+	rec = func(i int) bool {
 		if i == len(c.vars) {
-			fn(tau)
-			return
+			return fn(tau)
 		}
 		d := doms[i]
 		for si := range sigs {
@@ -289,9 +328,12 @@ func (c *Counter) enumerateRestricted(firstSig int, fn func(tau RoughAssignment)
 					continue
 				}
 				tau[i] = RoughCell{Sig: si, Prop: p}
-				rec(i + 1)
+				if !rec(i + 1) {
+					return false
+				}
 			}
 		}
+		return true
 	}
 	rec(0)
 }
@@ -306,10 +348,11 @@ func Evaluate(r *Rule, v *matrix.View) (Ratio, error) {
 		return Ratio{}, err
 	}
 	tot, fav := new(big.Int), new(big.Int)
-	c.Enumerate(func(tau RoughAssignment) {
+	c.Enumerate(func(tau RoughAssignment) bool {
 		t, f := c.Count(tau)
 		tot.Add(tot, t)
 		fav.Add(fav, f)
+		return true
 	})
 	return Ratio{Fav: fav, Tot: tot}, nil
 }
@@ -347,10 +390,11 @@ func EvaluateParallel(r *Rule, v *matrix.View, workers int) (Ratio, error) {
 					return
 				}
 				tot, fav := new(big.Int), new(big.Int)
-				c.enumerateRestricted(si, func(tau RoughAssignment) {
+				c.enumerateRestricted(si, func(tau RoughAssignment) bool {
 					t, f := c.Count(tau)
 					tot.Add(tot, t)
 					fav.Add(fav, f)
+					return true
 				})
 				res[si] = chunk{tot: tot, fav: fav}
 			}

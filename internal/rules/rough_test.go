@@ -82,11 +82,12 @@ func TestCounterEnumerateRespectsDomains(t *testing.T) {
 	pCol, _ := v.PropertyIndex("p")
 	qCol, _ := v.PropertyIndex("q")
 	count := 0
-	c.Enumerate(func(tau RoughAssignment) {
+	c.Enumerate(func(tau RoughAssignment) bool {
 		count++
 		if tau[0].Prop != pCol || tau[1].Prop != qCol {
 			t.Fatalf("τ with wrong columns: %v", tau)
 		}
+		return true
 	})
 	// val(c1)=1 prunes signatures without p — both have p, so
 	// 2 (sigs for c1) × 2 (sigs for c2) = 4.
@@ -107,10 +108,11 @@ func TestQuickEnumerateCountConsistent(t *testing.T) {
 			return false
 		}
 		tot, fav := new(big.Int), new(big.Int)
-		c.Enumerate(func(tau RoughAssignment) {
+		c.Enumerate(func(tau RoughAssignment) bool {
 			tt, ff := c.Count(tau)
 			tot.Add(tot, tt)
 			fav.Add(fav, ff)
+			return true
 		})
 		ev, err := Evaluate(r, v)
 		if err != nil {
@@ -161,4 +163,36 @@ func patternBits(n int, pattern string) bitset.Set {
 		}
 	}
 	return b
+}
+
+// Positive must agree with Count's total > 0 on every enumerated τ,
+// including rules whose antecedent needs distinct subjects from small
+// signature sets (the falling-factorial multiplicity bound).
+func TestQuickPositiveMatchesCount(t *testing.T) {
+	ruleSrcs := []string{
+		"c = c -> val(c) = 1",
+		"!(c1 = c2) && prop(c1) = prop(c2) && val(c1) = 1 -> val(c2) = 1",
+		"subj(c1) = subj(c2) && prop(c1) = <p0> && prop(c2) = <p1> -> val(c1) = 0 || val(c2) = 1",
+		"!(subj(c1) = subj(c2)) && val(c1) = 1 -> val(c2) = 0",
+		"!(subj(c1) = subj(c2)) && !(subj(c2) = subj(c3)) && !(subj(c1) = subj(c3)) -> val(c1) = val(c3)",
+		"(subj(c1)=subj(c2) && val(c1)=1) -> val(c2)=1",
+	}
+	f := func(seed int64, ruleIdx uint8) bool {
+		rng := rand.New(rand.NewSource(seed))
+		r := MustParse(ruleSrcs[int(ruleIdx)%len(ruleSrcs)])
+		c, err := NewCounter(r, randomView(t, rng, 3, 4, 3))
+		if err != nil {
+			return false
+		}
+		agree := true
+		c.Enumerate(func(tau RoughAssignment) bool {
+			tot, _ := c.Count(tau)
+			agree = c.Positive(tau) == (tot.Sign() > 0)
+			return agree
+		})
+		return agree
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
 }
